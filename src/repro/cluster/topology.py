@@ -1,9 +1,10 @@
 """Interconnect topologies.
 
-A :class:`Topology` wraps a :class:`networkx.Graph` whose nodes are compute
-nodes (integers ``0..n-1``) and switches (strings ``"sw..."``), and exposes
-the two quantities the communication model needs: hop counts between compute
-nodes and the bisection bandwidth (in links) of the fabric.
+A :class:`Topology` is a small value ``(kind, num_nodes, leaf_radix)`` over
+compute nodes ``0..n-1``.  It answers the quantities the communication
+model needs — hop counts between compute nodes and the bisection bandwidth
+(in links) of the fabric — in closed form, without materializing the
+switch graph.
 
 Three constructors cover the systems modelled:
 
@@ -11,127 +12,162 @@ Three constructors cover the systems modelled:
   (an adequate model of a small cluster on one InfiniBand switch, like Fire);
 * :func:`fat_tree_topology` — two-level fat tree (SystemG-scale machines);
 * :func:`ring_topology` — 1-D torus, included for ablation experiments.
+
+The switch graphs these forms describe are spelled out in
+``tests/test_cluster_topology.py``, which checks every query against
+shortest paths and maximum flow on the explicit graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-import networkx as nx
+import numpy as np
 
 from ..exceptions import SpecError
 from ..validation import check_positive_int
 
 __all__ = ["Topology", "star_topology", "fat_tree_topology", "ring_topology"]
 
+#: Fabric kinds a :class:`Topology` can describe.
+KINDS = ("star", "fat-tree", "ring")
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
 class Topology:
     """A named interconnect fabric over ``num_nodes`` compute endpoints.
 
-    Equality is by *value* (name, endpoint count, edge set) rather than by
-    graph identity — two independently-built star topologies over the same
-    nodes compare equal, which keeps :class:`~repro.cluster.cluster.ClusterSpec`
-    equality intuitive.
+    Parameters
+    ----------
+    kind:
+        One of :data:`KINDS`.
+    num_nodes:
+        Compute endpoint count.
+    leaf_radix:
+        Compute nodes per leaf switch; required for ``"fat-tree"`` and
+        ``None`` for the other kinds.
+
+    Equality is plain value equality, so two independently built fabrics
+    of the same shape compare (and hash) equal.
     """
 
-    name: str
+    kind: str
     num_nodes: int
-    graph: nx.Graph
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.num_nodes == other.num_nodes
-            and set(map(frozenset, self.graph.edges)) == set(map(frozenset, other.graph.edges))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.num_nodes))
+    leaf_radix: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise SpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
         check_positive_int(self.num_nodes, "num_nodes", exc=SpecError)
-        for i in range(self.num_nodes):
-            if i not in self.graph:
-                raise SpecError(f"compute node {i} missing from topology graph")
-        # Per-instance memo for hop queries: figure sweeps ask for the same
-        # pairs thousands of times.
-        object.__setattr__(self, "_hop_cache", {})
+        if self.kind == "fat-tree":
+            check_positive_int(self.leaf_radix, "leaf_radix", exc=SpecError)
+        elif self.leaf_radix is not None:
+            raise SpecError(f"leaf_radix applies only to fat-tree, not {self.kind}")
 
-    def hops(self, a: int, b: int) -> int:
-        """Number of links on the shortest path between compute nodes."""
-        self._check_endpoint(a)
-        self._check_endpoint(b)
-        if a == b:
-            return 0
-        key = (a, b) if a < b else (b, a)
-        hit = self._hop_cache.get(key)
-        if hit is None:
-            hit = nx.shortest_path_length(self.graph, a, b)
-            self._hop_cache[key] = hit
-        return hit
+    @property
+    def name(self) -> str:
+        """Display name, e.g. ``fat-tree(32,radix=16)``."""
+        if self.kind == "fat-tree":
+            return f"fat-tree({self.num_nodes},radix={self.leaf_radix})"
+        return f"{self.kind}({self.num_nodes})"
+
+    @property
+    def num_leaves(self) -> int:
+        """Leaf switches of a fat tree (1 for the single-switch star)."""
+        if self.kind == "fat-tree":
+            return -(-self.num_nodes // self.leaf_radix)
+        return 1
+
+    def hops(self, a, b):
+        """Number of links on the shortest path between compute nodes.
+
+        ``a`` and ``b`` are integers or broadcastable integer arrays; the
+        result is an ``int`` or an integer array of the broadcast shape.
+        """
+        a = self._check_endpoints(a)
+        b = self._check_endpoints(b)
+        if self.kind == "star":
+            return (a != b) * 2
+        if self.kind == "fat-tree":
+            r = self.leaf_radix
+            return (a != b) * (2 + 2 * (a // r != b // r))
+        d = abs(a - b)
+        n = self.num_nodes
+        return d - (2 * d - n) * (2 * d > n)  # min(d, n - d)
 
     def max_hops(self) -> int:
         """Diameter restricted to compute endpoints."""
-        worst = 0
-        for a in range(self.num_nodes):
-            for b in range(a + 1, self.num_nodes):
-                worst = max(worst, self.hops(a, b))
-        return worst
+        n = self.num_nodes
+        if n == 1:
+            return 0
+        if self.kind == "ring":
+            return n // 2
+        return 4 if self.num_leaves > 1 else 2
 
     def mean_hops(self) -> float:
         """Mean pairwise hop count over distinct compute endpoints."""
-        if self.num_nodes == 1:
+        n = self.num_nodes
+        if n == 1:
             return 0.0
-        total = 0
-        pairs = 0
-        for a in range(self.num_nodes):
-            for b in range(a + 1, self.num_nodes):
-                total += self.hops(a, b)
-                pairs += 1
-        return total / pairs
+        if self.kind == "ring":
+            # each node sees sum_{d=1}^{n-1} min(d, n-d) = floor(n^2/4)
+            return (n * n // 4) / (n - 1)
+        if self.kind == "star":
+            return 2.0
+        pairs = n * (n - 1) // 2
+        full, rem = divmod(n, self.leaf_radix)
+        same_leaf = full * self.leaf_radix * (self.leaf_radix - 1) // 2 + rem * (rem - 1) // 2
+        return (4 * pairs - 2 * same_leaf) / pairs
 
     def bisection_links(self) -> int:
         """Minimum number of links cut to split compute nodes in half.
 
-        Computed exactly via max-flow between the two halves of the
-        endpoint set, which upper-bounds all-to-all throughput.
+        The halves are ``[0, n//2)`` and ``[n//2, n)``; the value is the
+        maximum flow between them, which upper-bounds all-to-all
+        throughput.
         """
-        if self.num_nodes == 1:
+        n = self.num_nodes
+        if n == 1:
             return 0
-        g = self.graph.copy()
-        half = self.num_nodes // 2
-        src, dst = "_bisect_src", "_bisect_dst"
-        g.add_node(src)
-        g.add_node(dst)
-        for i in range(half):
-            g.add_edge(src, i, capacity=float("inf"))
-        for i in range(half, self.num_nodes):
-            g.add_edge(i, dst, capacity=float("inf"))
-        for u, v, data in self.graph.edges(data=True):
-            g[u][v]["capacity"] = float(data.get("multiplicity", 1))
-        value, _ = nx.maximum_flow(g, src, dst)
-        return int(value)
+        if self.kind == "ring":
+            return 1 if n == 2 else 2
+        half = n // 2
+        if self.kind == "star":
+            return half
+        # Per leaf: sources and sinks on the same leaf pair up through the
+        # leaf switch; the rest cross the spine over the leaf's uplinks.
+        r = self.leaf_radix
+        lo = r * np.arange(self.num_leaves)
+        size = np.minimum(r, n - lo)
+        src = np.clip(half - lo, 0, size)
+        dst = size - src
+        local = np.minimum(src, dst)
+        uplinks = max(1, r // 2)
+        up = np.minimum(src - local, uplinks).sum()
+        down = np.minimum(dst - local, uplinks).sum()
+        return int(local.sum() + min(up, down))
 
-    def _check_endpoint(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
+    def _check_endpoints(self, node):
+        if isinstance(node, (int, np.integer)):
+            if not 0 <= node < self.num_nodes:
+                raise SpecError(
+                    f"node {node} outside compute endpoints [0, {self.num_nodes})"
+                )
+            return int(node)
+        arr = np.asarray(node)
+        if arr.dtype.kind not in "iu":
+            raise SpecError(f"endpoints must be integers, got dtype {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.num_nodes):
             raise SpecError(
-                f"node {node} outside compute endpoints [0, {self.num_nodes})"
+                f"nodes outside compute endpoints [0, {self.num_nodes})"
             )
+        return arr.astype(np.intp, copy=False)
 
 
 def star_topology(num_nodes: int) -> Topology:
     """All compute nodes attached to one crossbar switch (2 hops pairwise)."""
-    check_positive_int(num_nodes, "num_nodes", exc=SpecError)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    if num_nodes > 1:
-        g.add_node("sw0")
-        for i in range(num_nodes):
-            g.add_edge(i, "sw0")
-    return Topology(name=f"star({num_nodes})", num_nodes=num_nodes, graph=g)
+    return Topology("star", num_nodes)
 
 
 def fat_tree_topology(num_nodes: int, *, leaf_radix: int = 16) -> Topology:
@@ -141,36 +177,9 @@ def fat_tree_topology(num_nodes: int, *, leaf_radix: int = 16) -> Topology:
     leaf gets ``leaf_radix // 2`` uplinks (2:1 oversubscription, typical of
     the era) — this shapes :meth:`Topology.bisection_links`.
     """
-    check_positive_int(num_nodes, "num_nodes", exc=SpecError)
-    check_positive_int(leaf_radix, "leaf_radix", exc=SpecError)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    num_leaves = (num_nodes + leaf_radix - 1) // leaf_radix
-    if num_nodes > 1:
-        uplinks = max(1, leaf_radix // 2)
-        g.add_node("spine0")
-        for leaf in range(num_leaves):
-            sw = f"leaf{leaf}"
-            g.add_node(sw)
-            lo = leaf * leaf_radix
-            hi = min(lo + leaf_radix, num_nodes)
-            for i in range(lo, hi):
-                g.add_edge(i, sw)
-            if num_leaves > 1:
-                # parallel uplinks collapse to capacity in bisection; model as
-                # a single multigraph-free edge with recorded multiplicity
-                g.add_edge(sw, "spine0", multiplicity=uplinks)
-    return Topology(name=f"fat-tree({num_nodes},radix={leaf_radix})", num_nodes=num_nodes, graph=g)
+    return Topology("fat-tree", num_nodes, leaf_radix)
 
 
 def ring_topology(num_nodes: int) -> Topology:
     """1-D torus: node ``i`` linked to ``(i +/- 1) mod n``."""
-    check_positive_int(num_nodes, "num_nodes", exc=SpecError)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    if num_nodes == 2:
-        g.add_edge(0, 1)
-    elif num_nodes > 2:
-        for i in range(num_nodes):
-            g.add_edge(i, (i + 1) % num_nodes)
-    return Topology(name=f"ring({num_nodes})", num_nodes=num_nodes, graph=g)
+    return Topology("ring", num_nodes)

@@ -149,7 +149,7 @@ class CommunicationModel:
         """Vectorized :meth:`p2p_time` over arrays of messages/endpoints.
 
         ``message_bytes``, ``node_a`` and ``node_b`` broadcast together;
-        hop counts are looked up once per distinct node pair.
+        hop counts come from one array call to the topology.
         """
         m, a, b = np.broadcast_arrays(
             np.asarray(message_bytes, dtype=float),
@@ -164,15 +164,8 @@ class CommunicationModel:
         out[intra] = _INTRA_NODE_LATENCY_S + m[intra] / _INTRA_NODE_BANDWIDTH
         inter = ~intra
         if inter.any():
-            lo = np.minimum(a[inter], b[inter])
-            hi = np.maximum(a[inter], b[inter])
-            pairs, inv = np.unique(np.stack([lo, hi]), axis=1, return_inverse=True)
-            hops_of_pair = np.fromiter(
-                (self.cluster.topology.hops(int(x), int(y)) for x, y in pairs.T),
-                float,
-                pairs.shape[1],
-            )
-            out[inter] = hops_of_pair[inv] * nic.latency_s + m[inter] / nic.bandwidth
+            hops = self.cluster.topology.hops(a[inter], b[inter])
+            out[inter] = hops * nic.latency_s + m[inter] / nic.bandwidth
         return out
 
     def barrier_time(self, num_ranks: int) -> float:

@@ -8,11 +8,9 @@ from repro.exceptions import SpecError
 
 class TestGenerateCluster:
     def test_deterministic(self):
-        # ClusterSpec equality is graph-identity-sensitive (networkx), so
-        # compare the value parts: node spec, size, name.
         a = generate_cluster(42, era="2011")
         b = generate_cluster(42, era="2011")
-        assert (a.name, a.num_nodes, a.node) == (b.name, b.num_nodes, b.node)
+        assert a == b
 
     def test_distinct_seeds_differ(self):
         a = generate_cluster(1, era="2011")

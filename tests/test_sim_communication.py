@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.cluster import presets
+from repro.cluster.topology import Topology
+from repro.exceptions import SimulationError, SpecError
 from repro.sim import CommunicationModel
 
 
@@ -128,3 +130,35 @@ class TestBatchForms:
     def test_p2p_times_negative_bytes(self, comm):
         with pytest.raises(SimulationError):
             comm.p2p_times([-1.0], 0, 1)
+
+    def test_p2p_times_fat_tree_matches_scalars(self):
+        comm = CommunicationModel(cluster=presets.system_g(num_nodes=40))
+        a = np.arange(40).repeat(40)
+        b = np.tile(np.arange(40), 40)
+        batch = comm.p2p_times(1e4, a, b)
+        for k in range(0, a.size, 7):
+            assert batch[k] == comm.p2p_time(1e4, int(a[k]), int(b[k]))
+
+    def test_p2p_times_one_topology_call(self, comm, monkeypatch):
+        calls = []
+        real = Topology.hops
+        monkeypatch.setattr(
+            Topology, "hops", lambda self, a, b: calls.append(1) or real(self, a, b)
+        )
+        comm.p2p_times(np.ones(500), np.arange(500) % 8, np.arange(500) * 3 % 8)
+        assert len(calls) == 1
+
+    def test_p2p_times_out_of_range_endpoint(self, comm):
+        with pytest.raises(SpecError):
+            comm.p2p_times([1.0, 1.0], [0, 1], [1, 8])
+
+
+class TestLargeFabrics:
+    def test_effective_latency_1024_node_fat_tree_is_closed_form(self):
+        cluster = presets.system_g(num_nodes=1024)
+        # 64 leaves of 16: 64 * C(16, 2) pairs are 2 hops apart, the rest 4
+        pairs = 1024 * 1023 // 2
+        same_leaf = 64 * 16 * 15 // 2
+        mean_hops = (2 * same_leaf + 4 * (pairs - same_leaf)) / pairs
+        expected = mean_hops * cluster.node.nic.latency_s
+        assert CommunicationModel(cluster=cluster).effective_latency() == expected

@@ -12,15 +12,17 @@ This package is the substrate that runs them at scale:
 :mod:`~repro.campaign.cache`
     :class:`ResultCache` — content-addressed on-disk payload cache with
     hit/miss/invalidation accounting.
+:mod:`~repro.campaign.scheduler`
+    :class:`CampaignRunner` (``ShardedCampaignScheduler``) — the one
+    campaign executor: cache probes, deterministic sharding (one shard per
+    worker by default), work stealing, and journal-replay crash resume
+    (see ``docs/distributed_campaigns.md``).
 :mod:`~repro.campaign.runner`
-    :class:`CampaignRunner` — the pool/serial executor — and
-    :class:`CampaignResult`.
+    What every executing process shares: the contained per-job attempt
+    loop, :class:`WorkItem` execution, the inline and process-pool
+    worker transports, and :class:`CampaignResult`.
 :mod:`~repro.campaign.manifest`
     Machine-readable run manifests and their reproducibility fingerprint.
-:mod:`~repro.campaign.scheduler`
-    :class:`ShardedCampaignScheduler` — deterministic sharding, work
-    stealing, and journal-replay crash resume over a transport-shaped
-    worker API (see ``docs/distributed_campaigns.md``).
 
 Quick tour:
 
@@ -51,23 +53,18 @@ from .manifest import (
 from .runner import (
     CampaignResult,
     CampaignRunner,
-    JobOutcome,
-    build_manifest,
-    check_jobs,
-    run_cache_stats,
-)
-from .scheduler import (
     InlineTransport,
+    JobOutcome,
     ProcessPoolTransport,
-    ShardedCampaignScheduler,
-    ShardPlan,
     WorkerTransport,
     WorkItem,
     WorkResult,
+    build_manifest,
+    check_jobs,
     execute_work_item,
-    plan_shards,
-    shard_of,
+    run_cache_stats,
 )
+from .scheduler import ShardedCampaignScheduler, ShardPlan, plan_shards, shard_of
 
 __all__ = [
     "CacheStats",

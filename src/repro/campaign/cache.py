@@ -165,6 +165,17 @@ class ResultCache:
         tele.count("tgi_cache_lookups_total", result="hit")
         return entry["payload"]
 
+    def peek(self, key: str) -> Optional[Dict]:
+        """The cached payload for ``key`` if a valid entry exists, else ``None``.
+
+        A pure read, like ``__contains__``: no accounting and no stale-entry
+        cleanup.  It re-checks a key whose lookup :meth:`get` already
+        counted — the executing process's last look for a result another
+        worker may have published since — so each lookup counts once.
+        """
+        entry = self._read_entry(key)
+        return None if entry is None else entry["payload"]
+
     def put(self, key: str, payload: Dict) -> Path:
         """Store a payload under ``key``; returns the entry path."""
         path = self.path_for(key)

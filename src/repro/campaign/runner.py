@@ -1,17 +1,22 @@
-"""The campaign executor: fan jobs out, consult the cache, keep the books.
+"""Campaign execution mechanics: keyed jobs in, contained results out.
 
-:class:`CampaignRunner` takes a list of :class:`~repro.campaign.jobs.CampaignJob`
-and produces a :class:`CampaignResult`:
+The campaign executor is :class:`~repro.campaign.scheduler.ShardedCampaignScheduler`,
+also exported from this module as :class:`CampaignRunner`.  It decides
+*what* runs *when*: keying, cache probes, sharding, work stealing, crash
+resume and failure policy.  This module holds what it shares with every
+process that executes a job:
 
-1. every job is keyed by the SHA-256 of its canonical serialization;
-2. keyed jobs are probed against the (optional) on-disk
-   :class:`~repro.campaign.cache.ResultCache` — hits skip execution;
-3. the remaining jobs run on a ``concurrent.futures`` process pool
-   (``workers > 1``) or inline (``workers == 1``, and automatically as a
-   fallback when the platform cannot spawn a pool);
-4. each outcome records wall time and cache status, and the whole run is
-   summarized in a machine-readable manifest (see
-   :mod:`repro.campaign.manifest`).
+1. :func:`_attempt_job` — one job under a containment boundary, with
+   seeded-backoff retries, journaling and timeline capture;
+2. :class:`WorkItem` and :func:`execute_work_item` — a self-contained
+   keyed job and the probe → attempt → publish path it takes in whichever
+   process runs it;
+3. the :class:`WorkerTransport` implementations — :class:`InlineTransport`
+   and :class:`ProcessPoolTransport`, whose one worker shim re-binds the
+   journal and telemetry in each pool process;
+4. :class:`JobOutcome`, :class:`CampaignResult` and :func:`build_manifest`
+   — a run's outcomes, in submission order, and its machine-readable
+   manifest (see :mod:`repro.campaign.manifest`).
 
 Ordering is part of the contract: outcomes and manifest rows follow job
 submission order, never completion order, so parallel runs are manifest-
@@ -19,26 +24,26 @@ identical to serial runs modulo the volatile timing fields.
 
 Failure containment
 -------------------
-Each job attempt executes under a try/except boundary in both the pool and
-the serial paths: an exception fails *that job*, never the campaign.  A
+Each job attempt executes under a try/except boundary in every process
+that runs it: an exception fails *that job*, never the campaign.  A
 failed job's outcome carries ``status="failed"`` and a structured ``error``
 (exception type, message, truncated traceback).  ``retries`` re-attempts a
 failed job with seeded exponential backoff; a success on retry yields the
 same payload a clean run would (each attempt executes with a freshly
 seeded executor), so caching stays sound.  The failure *policy* is the
-runner's: ``keep_going=False`` (default, matching the historical abort
-behaviour) raises :class:`~repro.exceptions.CampaignExecutionError` once a
-job exhausts its retries; ``keep_going=True`` finishes the surviving jobs
-and returns a result whose manifest records the damage — the input to the
-partial-TGI path (see :mod:`repro.core.tgi`).
+executor's: ``keep_going=False`` (default) raises
+:class:`~repro.exceptions.CampaignExecutionError` once a job exhausts its
+retries; ``keep_going=True`` finishes the surviving jobs and returns a
+result whose manifest records the damage — the input to the partial-TGI
+path (see :mod:`repro.core.tgi`).
 
-When a telemetry session is active (:mod:`repro.telemetry`) the runner
-traces each job's lifecycle — ``job.serialize`` → ``job.cache_probe`` →
-``job.execute`` (one span per attempt) → ``job.store`` — and counts jobs,
-failures, retries, and cache behaviour into the metrics registry.  Pool
-workers collect spans and metrics in their own process and ship them back
-beside the payload; the parent absorbs worker spans under its
-``campaign.pool`` span and merges worker metric state.  Telemetry never
+When a telemetry session is active (:mod:`repro.telemetry`) each job's
+lifecycle is traced — ``job.serialize`` → ``job.cache_probe`` →
+``job.execute`` (one span per attempt) → ``job.store`` — and jobs,
+failures, retries, and cache behaviour are counted into the metrics
+registry.  Pool workers collect spans and metrics in their own process and
+ship them back beside the payload; the parent absorbs worker spans under
+its ``campaign.pool`` span and merges worker metric state.  Telemetry never
 touches payloads, cache keys, or manifest fingerprints: runs are
 byte-identical with telemetry on or off.
 
@@ -59,17 +64,17 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_module
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .. import journal as jrnl
 from .. import telemetry as tele
 from .. import timeline as tline
 from ..benchmarks.runner import SweepResult
 from ..benchmarks.suite import SuiteResult
-from ..exceptions import CampaignExecutionError, ReproError
+from ..exceptions import ReproError
 from ..rng import child_rng
 from .cache import ResultCache, cache_key
 from .jobs import CampaignJob, execute_job, job_to_dict, payload_sweep
@@ -82,8 +87,25 @@ __all__ = [
     "run_cache_stats",
     "check_jobs",
     "build_manifest",
+    "WorkItem",
+    "WorkResult",
+    "execute_work_item",
+    "WorkerTransport",
+    "InlineTransport",
+    "ProcessPoolTransport",
     "TRACEBACK_LIMIT_CHARS",
 ]
+
+
+def __getattr__(name: str):
+    # ``CampaignRunner`` is the scheduler class.  The scheduler module
+    # imports this one, so the alias resolves on first access instead of
+    # at import time.
+    if name == "CampaignRunner":
+        from .scheduler import ShardedCampaignScheduler
+
+        return ShardedCampaignScheduler
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Cache statuses a job outcome can carry.
 CACHE_STATUSES = ("hit", "computed", "uncached", "failed")
@@ -127,12 +149,7 @@ _JOURNAL_MESSAGE_LIMIT = 500
 
 
 def check_jobs(jobs: Sequence[CampaignJob]) -> List[CampaignJob]:
-    """Validate a campaign's job list (non-empty, unique ids); returns it.
-
-    Shared by :class:`CampaignRunner` and the sharded scheduler
-    (:mod:`repro.campaign.scheduler`) so both reject malformed campaigns
-    with identical errors.
-    """
+    """Validate a campaign's job list (non-empty, unique ids); returns it."""
     jobs = list(jobs)
     if not jobs:
         raise ReproError("campaign needs at least one job")
@@ -404,91 +421,171 @@ class CampaignResult:
         write_manifest(self.manifest, path)
 
 
-#: Jobs this worker process has finished — heartbeat payload.  Lives at
-#: module level so it survives across ``pool.map`` calls into one worker.
+@dataclass(frozen=True)
+class WorkItem:
+    """One schedulable unit: a keyed job plus everything a worker needs.
+
+    Self-contained and picklable by design — a transport may hand it to
+    another process (or, later, another host), so it carries *paths* to
+    the shared journal and cache, never live handles.
+    """
+
+    index: int  # position in the campaign's job list (ordering contract)
+    shard: int  # shard the plan assigned it to (pre-steal)
+    job: CampaignJob
+    key: str
+    retries: int = 0
+    backoff_s: float = 0.0
+    backoff_seed: int = 0
+    with_telemetry: bool = False
+    journal_path: Optional[str] = None
+    run_id: Optional[str] = None
+    timeline_dir: Optional[str] = None
+    cache_dir: Optional[str] = None
+    code_version: Optional[str] = None
+
+
+@dataclass
+class WorkResult:
+    """What came back for one :class:`WorkItem`."""
+
+    index: int
+    shard: int
+    payload: Optional[Dict]
+    error: Optional[Dict]
+    attempts: int
+    wall_s: float
+    cache_status: str  # "hit" / "computed" / "uncached" / "failed"
+    spans: Optional[List[Dict]] = None
+    metrics: Optional[Dict] = None
+    cache_stats: Optional[Dict] = None  # per-item deltas from a worker-side cache
+
+
+def execute_work_item(
+    item: WorkItem,
+    *,
+    journal: Optional[jrnl.JournalWriter] = None,
+    cache: Optional[ResultCache] = None,
+) -> WorkResult:
+    """Probe → execute (contained, with retries) → publish, for one item.
+
+    The single execution path every transport funnels through.  The
+    scheduler's pre-dispatch probe already counted this key's lookup, so
+    the executing process re-checks the shared cache with the uncounted
+    :meth:`~repro.campaign.cache.ResultCache.peek` — another worker,
+    shard, or concurrent campaign may have published the key since.  On
+    success the payload is published to the shared cache *from the
+    executing process* (atomic rename; unique staging name), and only then
+    does the ``job.stored`` event land — so a journal that contains
+    ``job.stored`` implies a durable cache entry, which is exactly the
+    order crash resume relies on.
+    """
+    t0 = time.perf_counter()
+    if cache is not None:
+        cached = cache.peek(item.key)
+        if cached is not None:
+            if journal is not None:
+                journal.emit(
+                    "job.cache_hit", job=item.job.job_id, key=item.key, attempt=0
+                )
+            return WorkResult(
+                index=item.index,
+                shard=item.shard,
+                payload=cached,
+                error=None,
+                attempts=0,
+                wall_s=time.perf_counter() - t0,
+                cache_status="hit",
+            )
+    timeline_dir = Path(item.timeline_dir) if item.timeline_dir is not None else None
+    payload, error, attempts, wall = _attempt_job(
+        item.job,
+        retries=item.retries,
+        backoff_s=item.backoff_s,
+        backoff_seed=item.backoff_seed,
+        journal=journal,
+        timeline_dir=timeline_dir,
+    )
+    if error is not None:
+        return WorkResult(
+            index=item.index,
+            shard=item.shard,
+            payload=None,
+            error=error,
+            attempts=attempts,
+            wall_s=wall,
+            cache_status="failed",
+        )
+    status = "uncached"
+    if cache is not None:
+        with tele.span("job.store", job=item.job.job_id, skipped=False):
+            cache.put(item.key, payload)
+        if journal is not None:
+            journal.emit("job.stored", job=item.job.job_id, key=item.key)
+        status = "computed"
+    return WorkResult(
+        index=item.index,
+        shard=item.shard,
+        payload=payload,
+        error=None,
+        attempts=attempts,
+        wall_s=wall,
+        cache_status=status,
+    )
+
+
+#: Jobs this worker process has finished — heartbeat payload (survives
+#: across items into one reused pool worker).
 _WORKER_JOBS_DONE = 0
 
 
-def _execute_keyed(args):
-    """Pool-side shim: one keyed job in, one contained result out.
+def _pool_worker(item: WorkItem) -> WorkResult:
+    """Pool-side shim: rebuild per-process handles, run one item.
 
-    Takes ``(index, job, with_telemetry, retries, backoff_s, backoff_seed,
-    journal_path, run_id, timeline_dir)`` and returns ``(index, payload,
-    error, attempts, wall_s, spans, metrics)``.  The worker measures its own wall time (the
-    parent cannot observe per-job durations through ``pool.map``) and
-    contains job exceptions so one bad job never tears down the pool.
-    With telemetry requested, the worker collects into its own session and
-    ships the finished spans (dict form) and the metric state back with
-    the payload; both are ``None`` otherwise.
-
-    Journal events do *not* ship back: with ``journal_path`` set the
-    worker opens its own ``O_APPEND`` handle on the shared journal and
-    emits attempt events directly, which is what makes ``tgi watch`` live
-    rather than end-of-run.  Each pickup also emits a ``worker.heartbeat``
-    with the worker's cumulative job count and resource usage.
+    The one place a pool worker re-binds observability.  It drops any
+    fork-inherited ambient journal/telemetry bindings, opens its *own*
+    ``O_APPEND`` handle on the shared journal (same run id) and its own
+    view of the shared cache directory, emits a pickup heartbeat, and
+    ships finished telemetry spans/metric state plus its cache-stat deltas
+    back with the result.  Journal events do *not* ship back: appending
+    directly is what makes ``tgi watch`` live rather than end-of-run.
     """
     global _WORKER_JOBS_DONE
-    (
-        index,
-        job,
-        with_telemetry,
-        retries,
-        backoff_s,
-        backoff_seed,
-        journal_path,
-        run_id,
-        timeline_dir,
-    ) = args
-    timeline_path = Path(timeline_dir) if timeline_dir is not None else None
     journal = None
-    if journal_path is not None:
-        # A fork-started worker inherits the parent's ambient writer (and
-        # its fd); drop the inherited binding and open our own handle so
-        # close/lifetime stay per-process.
+    if item.journal_path is not None:
         jrnl.detach()
         journal = jrnl.JournalWriter(
-            journal_path, run_id=run_id, process=f"worker-{os.getpid()}"
+            item.journal_path, run_id=item.run_id, process=f"worker-{os.getpid()}"
         )
         jrnl.attach(journal)
         journal.emit(
             "worker.heartbeat", jobs_done=_WORKER_JOBS_DONE, **jrnl.rusage_fields()
         )
+    cache = None
+    if item.cache_dir is not None:
+        cache = ResultCache(item.cache_dir, code_version=item.code_version)
     try:
-        if not with_telemetry:
-            payload, error, attempts, wall = _attempt_job(
-                job,
-                retries=retries,
-                backoff_s=backoff_s,
-                backoff_seed=backoff_seed,
-                journal=journal,
-                timeline_dir=timeline_path,
+        if not item.with_telemetry:
+            result = execute_work_item(item, journal=journal, cache=cache)
+        else:
+            # Fork-started workers inherit a copy of the parent session;
+            # collect into a fresh one and ship it back instead.
+            tele.deactivate()
+            session = tele.TelemetrySession(
+                label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
             )
-            return index, payload, error, attempts, wall, None, None
-        # Under the fork start method the worker inherits a *copy* of the
-        # parent's ambient session; nothing collected into it would ever
-        # ship back, so drop it and collect into a fresh per-worker session.
-        tele.deactivate()
-        session = tele.TelemetrySession(
-            label=f"worker:{job.job_id}", process=f"worker-{os.getpid()}"
-        )
-        with tele.use(session):
-            payload, error, attempts, wall = _attempt_job(
-                job,
-                retries=retries,
-                backoff_s=backoff_s,
-                backoff_seed=backoff_seed,
-                journal=journal,
-                timeline_dir=timeline_path,
-            )
-        return (
-            index,
-            payload,
-            error,
-            attempts,
-            wall,
-            session.tracer.as_dicts(),
-            session.metrics.state(),
-        )
+            with tele.use(session):
+                result = execute_work_item(item, journal=journal, cache=cache)
+            result.spans = session.tracer.as_dicts()
+            result.metrics = session.metrics.state()
+        if cache is not None:
+            result.cache_stats = {
+                "hits": cache.stats.hits,
+                "misses": cache.stats.misses,
+                "invalidations": cache.stats.invalidations,
+                "puts": cache.stats.puts,
+            }
+        return result
     finally:
         if journal is not None:
             _WORKER_JOBS_DONE += 1
@@ -496,376 +593,94 @@ def _execute_keyed(args):
             journal.close()
 
 
-class CampaignRunner:
-    """Executes campaigns of independent jobs with caching and observability.
+class WorkerTransport:
+    """Where work items execute: the multi-host seam.
 
-    Parameters
-    ----------
-    workers:
-        Process-pool width; ``1`` (default) runs inline.  Pools that fail
-        to start (restricted platforms) or die mid-campaign degrade to the
-        serial path, which is result-identical by construction and only
-        re-executes jobs whose results were not already collected.
-    cache:
-        A :class:`ResultCache`, or ``None`` to always execute.
-    retries:
-        Extra executions granted to a failing job (0 = one attempt only).
-        Backed off exponentially from ``backoff_s`` with seeded jitter.
-    keep_going:
-        Failure policy once retries are exhausted: ``False`` (default)
-        raises :class:`~repro.exceptions.CampaignExecutionError`;
-        ``True`` records the failure and finishes the surviving jobs.
-    backoff_s:
-        Base backoff delay in seconds (0 disables sleeping — the right
-        setting for simulated faults and tests).
-    backoff_seed:
-        Seed for the backoff jitter stream.
-    journal:
-        Flight-recorder target: a path (the runner creates, finalizes,
-        and digests the journal) or an existing
-        :class:`~repro.journal.JournalWriter` (the caller keeps ownership
-        and finalization).  ``None`` (default) records nothing.
-    timeline:
-        Directory for per-job power-timeline artifacts
-        (:mod:`repro.timeline`).  When set, every executed job arms the
-        ambient timeline sink and its captured run timelines land as
-        ``<dir>/<job_id>.timeline.json`` — the input of ``tgi dashboard``.
-        ``None`` (default) captures nothing; cached jobs never re-capture.
+    A transport owns ``slots`` worker slots and turns a stream of
+    :class:`WorkItem`\\ s into a stream of :class:`WorkResult`\\ s with
+    :meth:`map`.  The scheduler decides the order items go out in (shard
+    affinity, stealing) and the policy (fail-fast, fallback), so a
+    transport implements mechanics only.  Implementations today run
+    inline or on a local process pool; a multi-host transport needs
+    nothing beyond this interface because items carry paths (shared
+    journal, shared cache), never live handles.
     """
+
+    name = "abstract"
+    slots = 1
+
+    def map(self, items: Iterable[WorkItem]) -> Iterator[WorkResult]:
+        """Execute ``items``, yielding one result per item, in any order.
+
+        Raising an ``OSError``, ``ImportError`` or ``BrokenExecutor``
+        (other than from :class:`InlineTransport`) makes the scheduler
+        finish the uncollected items inline.
+        """
+        raise NotImplementedError
+
+    def close(self, *, cancel: bool = False) -> None:
+        """Release resources; ``cancel`` abandons queued work (fail-fast)."""
+
+
+class InlineTransport(WorkerTransport):
+    """Executes items one at a time in the scheduling process.
+
+    Used for ``workers=1``, single-job campaigns, and as the degradation
+    target when a process pool cannot start or dies mid-run (result-
+    identical by construction).  Items run lazily, one per result the
+    scheduler pulls, so fail-fast dispatches nothing past the first
+    exhausted job.  They run against the *live* cache and journal writer,
+    so telemetry spans land directly in the ambient session and cache
+    stats accrue in place — no shipping needed.
+    """
+
+    name = "inline"
+    slots = 1
 
     def __init__(
         self,
         *,
-        workers: int = 1,
         cache: Optional[ResultCache] = None,
-        retries: int = 0,
-        keep_going: bool = False,
-        backoff_s: float = 0.0,
-        backoff_seed: int = 0,
-        journal: Optional[Union[str, Path, jrnl.JournalWriter]] = None,
-        timeline: Optional[Union[str, Path]] = None,
-    ):
-        if workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ReproError(f"retries must be >= 0, got {retries}")
-        if backoff_s < 0:
-            raise ReproError(f"backoff_s must be >= 0, got {backoff_s}")
-        self.workers = workers
-        self.cache = cache
-        self.retries = retries
-        self.keep_going = keep_going
-        self.backoff_s = backoff_s
-        self.backoff_seed = backoff_seed
-        self.journal = journal
-        self.timeline = Path(timeline) if timeline is not None else None
-
-    # ------------------------------------------------------------------
-    def _journal_writer(
-        self, label: str
-    ) -> Tuple[Optional[jrnl.JournalWriter], bool]:
-        """The run's journal writer plus whether this runner owns it."""
-        if self.journal is None:
-            return None, False
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal, False
-        return jrnl.JournalWriter(Path(self.journal), label=label), True
-
-    # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[CampaignJob], *, label: str = "campaign") -> CampaignResult:
-        """Execute the campaign and return outcomes plus manifest.
-
-        Raises :class:`~repro.exceptions.CampaignExecutionError` when a
-        job exhausts its retries under the fail-fast policy (the default);
-        with ``keep_going`` the error surfaces in the outcome/manifest and
-        the method still returns.  A fail-fast abort still finalizes a
-        runner-owned journal (``run.stop`` with ``status="aborted"``) —
-        the flight recorder's whole point is surviving the crash.
-        """
-        jobs = check_jobs(jobs)
-
-        if self.timeline is not None:
-            self.timeline.mkdir(parents=True, exist_ok=True)
-
-        writer, owns_writer = self._journal_writer(label)
-        attached_ambient = False
-        if writer is not None:
-            writer.emit(
-                "run.start",
-                label=label,
-                jobs=len(jobs),
-                workers=self.workers,
-                retries_allowed=self.retries,
-                keep_going=self.keep_going,
-                cache_enabled=self.cache is not None,
-            )
-            # Ambient emission is what lets deeply nested code (the fault
-            # injector) journal on the serial path; pool workers attach
-            # their own per-process handle instead.
-            if jrnl.ambient() is None:
-                jrnl.attach(writer)
-                attached_ambient = True
-
-        t_start = time.perf_counter()
-        invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
-        try:
-            with tele.span("campaign.run", label=label, jobs=len(jobs)):
-                keys: List[str] = []
-                for job in jobs:
-                    with tele.span("job.serialize", job=job.job_id):
-                        keys.append(cache_key(job))
-                if writer is not None:
-                    for index, (job, key) in enumerate(zip(jobs, keys)):
-                        writer.emit(
-                            "job.scheduled", job=job.job_id, key=key, index=index
-                        )
-                payloads: Dict[int, Dict] = {}
-                statuses: Dict[int, str] = {}
-                walls: Dict[int, float] = {}
-                errors: Dict[int, Dict] = {}
-                attempts: Dict[int, int] = {}
-
-                pending: List[int] = []
-                for index, key in enumerate(keys):
-                    job_id = jobs[index].job_id
-                    with tele.span(
-                        "job.cache_probe", job=job_id, skipped=self.cache is None
-                    ):
-                        if self.cache is not None:
-                            t0 = time.perf_counter()
-                            cached = self.cache.get(key)
-                            if cached is not None:
-                                payloads[index] = cached
-                                statuses[index] = "hit"
-                                walls[index] = time.perf_counter() - t0
-                                attempts[index] = 0
-                                if writer is not None:
-                                    writer.emit(
-                                        "job.cache_hit",
-                                        job=job_id,
-                                        key=key,
-                                        attempt=0,
-                                    )
-                                continue
-                    pending.append(index)
-
-                workers_used = self._execute(
-                    jobs, pending, payloads, walls, errors, attempts, writer
-                )
-
-                failed = [i for i in pending if i in errors]
-                if failed and not self.keep_going:
-                    failures = [
-                        {"job_id": jobs[i].job_id, "error": errors[i]} for i in failed
-                    ]
-                    first = failures[0]
-                    raise CampaignExecutionError(
-                        f"{len(failed)} of {len(jobs)} campaign job(s) failed "
-                        f"(first: {first['job_id']} — {first['error']['type']}: "
-                        f"{first['error']['message']}); rerun with keep_going=True "
-                        "to collect the surviving jobs",
-                        failures=failures,
-                    )
-
-                for index in pending:
-                    if index in errors:
-                        statuses[index] = "failed"
-                        continue
-                    statuses[index] = "uncached" if self.cache is None else "computed"
-                    with tele.span(
-                        "job.store", job=jobs[index].job_id, skipped=self.cache is None
-                    ):
-                        if self.cache is not None:
-                            self.cache.put(keys[index], payloads[index])
-                if tele.active():
-                    for index in range(len(jobs)):
-                        tele.count("tgi_campaign_jobs_total", status=statuses[index])
-                    jobs_failed = len(failed)
-                    retries_total = sum(
-                        max(0, attempts.get(i, 1) - 1) for i in pending
-                    )
-                    if jobs_failed:
-                        tele.count("tgi_campaign_jobs_failed_total", jobs_failed)
-                    if retries_total:
-                        tele.count("tgi_campaign_jobs_retried_total", retries_total)
-        except CampaignExecutionError as exc:
-            if writer is not None and owns_writer:
-                writer.finalize(
-                    status="aborted",
-                    jobs_failed=len(exc.failures),
-                    total_wall_s=time.perf_counter() - t_start,
-                )
-            raise
-        finally:
-            if attached_ambient:
-                jrnl.detach()
-
-        total_wall = time.perf_counter() - t_start
-        outcomes = [
-            JobOutcome(
-                job=jobs[i],
-                key=keys[i],
-                payload=payloads.get(i),
-                cache_status=statuses[i],
-                wall_s=walls.get(i, 0.0),
-                status="failed" if i in errors else "ok",
-                error=errors.get(i),
-                attempts=attempts.get(i, 1),
-            )
-            for i in range(len(jobs))
-        ]
-        invalidations = (
-            self.cache.stats.invalidations - invalidations_before if self.cache is not None else 0
-        )
-        journal_info = None
-        if writer is not None:
-            jobs_failed_total = sum(1 for o in outcomes if not o.ok)
-            journal_info = {
-                "path": str(writer.path),
-                "run_id": writer.run_id,
-                "events": writer.events_written,
-                "sha256": None,
-            }
-            if owns_writer:
-                summary = writer.finalize(
-                    status="ok" if not jobs_failed_total else "failed",
-                    jobs_failed=jobs_failed_total,
-                    total_wall_s=total_wall,
-                )
-                journal_info["events"] = summary["events"]
-                journal_info["sha256"] = summary["sha256"]
-        timeline_info = None
-        if self.timeline is not None:
-            artifacts = sorted(self.timeline.glob("*.timeline.json"))
-            timeline_info = {
-                "dir": str(self.timeline),
-                "artifacts": len(artifacts),
-                "version": tline.TIMELINE_SCHEMA_VERSION,
-            }
-        manifest = build_manifest(
-            label=label,
-            outcomes=outcomes,
-            total_wall=total_wall,
-            workers_requested=self.workers,
-            workers_used=workers_used,
-            cache=self.cache,
-            retries_allowed=self.retries,
-            keep_going=self.keep_going,
-            invalidations=invalidations,
-            journal_info=journal_info,
-            timeline_info=timeline_info,
-        )
-        return CampaignResult(outcomes, manifest)
-
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        jobs: Sequence[CampaignJob],
-        pending: List[int],
-        payloads: Dict[int, Dict],
-        walls: Dict[int, float],
-        errors: Dict[int, Dict],
-        attempts: Dict[int, int],
         journal: Optional[jrnl.JournalWriter] = None,
-    ) -> int:
-        """Run the uncached jobs; returns the worker count actually used.
+    ):
+        self.cache = cache
+        self.journal = journal
 
-        Fills exactly one of ``payloads[i]``/``errors[i]`` (plus
-        ``walls[i]`` and ``attempts[i]``) for every pending index it
-        reaches; under fail-fast it stops dispatching after the first
-        exhausted job.  If the pool dies mid-campaign, the serial fallback
-        picks up only the indices whose results were not yet collected.
-        Pool workers get the journal's *path* (writers hold fds and locks,
-        which do not pickle) and append to it directly; the serial path
-        reuses the parent's writer.
-        """
-        if not pending:
-            return 1
-        session = tele.current()
-        journal_path = str(journal.path) if journal is not None else None
-        journal_run_id = journal.run_id if journal is not None else None
-        timeline_dir = str(self.timeline) if self.timeline is not None else None
-        pool_failed_mid_stream = False
-        if self.workers > 1 and len(pending) > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    with tele.span(
-                        "campaign.pool",
-                        workers=min(self.workers, len(pending)),
-                        jobs=len(pending),
-                    ) as pool_span:
-                        for (
-                            index,
-                            payload,
-                            error,
-                            job_attempts,
-                            wall,
-                            span_dicts,
-                            metric_state,
-                        ) in pool.map(
-                            _execute_keyed,
-                            [
-                                (
-                                    i,
-                                    jobs[i],
-                                    session is not None,
-                                    self.retries,
-                                    self.backoff_s,
-                                    self.backoff_seed,
-                                    journal_path,
-                                    journal_run_id,
-                                    timeline_dir,
-                                )
-                                for i in pending
-                            ],
-                        ):
-                            walls[index] = wall
-                            attempts[index] = job_attempts
-                            if error is not None:
-                                errors[index] = error
-                            else:
-                                payloads[index] = payload
-                            if session is not None and span_dicts:
-                                session.tracer.absorb(
-                                    span_dicts,
-                                    parent_id=pool_span.span_id,
-                                    offset_s=pool_span.t_start,
-                                )
-                            if session is not None and metric_state:
-                                session.metrics.merge(metric_state)
-                            if error is not None and not self.keep_going:
-                                # Fail fast: stop feeding the pool; run()
-                                # raises from the recorded error.
-                                pool.shutdown(wait=False, cancel_futures=True)
-                                return min(self.workers, len(pending))
-                return min(self.workers, len(pending))
-            except (OSError, PermissionError, ImportError, BrokenExecutor):
-                pool_failed_mid_stream = True  # fall through to the serial path
-        remaining = [
-            i for i in pending if i not in payloads and i not in errors
-        ]
-        if pool_failed_mid_stream and len(remaining) < len(pending) and tele.active():
-            tele.count(
-                "tgi_campaign_pool_fallback_total", resumed_jobs=len(remaining)
-            )
-        for index in remaining:
-            payload, error, job_attempts, wall = _attempt_job(
-                jobs[index],
-                retries=self.retries,
-                backoff_s=self.backoff_s,
-                backoff_seed=self.backoff_seed,
-                journal=journal,
-                timeline_dir=self.timeline,
-            )
-            walls[index] = wall
-            attempts[index] = job_attempts
-            if error is not None:
-                errors[index] = error
-                if not self.keep_going:
-                    return 1
-            else:
-                payloads[index] = payload
-        return 1
+    def map(self, items: Iterable[WorkItem]) -> Iterator[WorkResult]:
+        for item in items:
+            yield execute_work_item(item, journal=self.journal, cache=self.cache)
+
+
+class ProcessPoolTransport(WorkerTransport):
+    """Executes items on a local ``ProcessPoolExecutor``.
+
+    ``map`` queues every item at once and yields results in queue order;
+    the pool's shared queue hands each free worker the next item, which
+    absorbs skewed job durations.  Pool-level failures (a pool that cannot
+    start, ``BrokenExecutor`` mid-run) propagate to the scheduler, which
+    re-runs the uncollected items inline.
+    """
+
+    name = "process-pool"
+
+    def __init__(self, workers: int):
+        if workers < 1:
+            raise ReproError(f"transport workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.slots = workers
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def map(self, items: Iterable[WorkItem]) -> Iterator[WorkResult]:
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool.map(_pool_worker, items)
+
+    def close(self, *, cancel: bool = False) -> None:
+        if self._pool is not None:
+            # Waits for in-flight items, so no worker appends to the
+            # journal after the run has been finalized.
+            self._pool.shutdown(cancel_futures=cancel)
+            self._pool = None
+
 
 def build_manifest(
     *,
@@ -884,13 +699,11 @@ def build_manifest(
 ) -> Dict:
     """Assemble (and fingerprint) the run manifest from job outcomes.
 
-    The single manifest builder shared by :class:`CampaignRunner` and the
-    sharded scheduler: both executors describe a run in exactly the same
-    rows, so their fingerprints are directly comparable.  ``extra`` merges
-    additional top-level blocks (e.g. the scheduler's ``sharding`` block);
-    every extra key must be listed in
+    ``extra`` merges additional top-level blocks (e.g. the scheduler's
+    ``sharding`` block); every extra key must be listed in
     :data:`repro.campaign.manifest.VOLATILE_CAMPAIGN_FIELDS`, keeping
-    fingerprints invariant across executors.
+    fingerprints invariant across how a campaign was sharded, resumed or
+    dispatched.
     """
     from .. import __version__
     from .manifest import VOLATILE_CAMPAIGN_FIELDS

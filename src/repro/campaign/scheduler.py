@@ -1,17 +1,29 @@
-"""Sharded, crash-resumable campaign execution.
+"""The campaign executor: sharded, work-stealing, crash-resumable.
 
-:class:`ShardedCampaignScheduler` is the distributed-shape executor the
-ROADMAP's "distributed, resumable mega-campaigns" item calls for.  It
-builds on the same primitives as :class:`~repro.campaign.runner.CampaignRunner`
-(keyed jobs, the content-addressed :class:`~repro.campaign.cache.ResultCache`,
-the append-only run journal, :func:`~repro.campaign.runner.build_manifest`)
-and adds three things:
+:class:`ShardedCampaignScheduler` — also exported as
+:class:`~repro.campaign.runner.CampaignRunner` — is the one executor every
+campaign runs on.  It takes a list of :class:`~repro.campaign.jobs.CampaignJob`
+and produces a :class:`~repro.campaign.runner.CampaignResult`:
+
+1. every job is keyed by the SHA-256 of its canonical serialization;
+2. keyed jobs are probed against the (optional) shared on-disk
+   :class:`~repro.campaign.cache.ResultCache` — hits skip execution;
+3. the remaining jobs are sharded, ordered, and handed to a
+   :class:`~repro.campaign.runner.WorkerTransport` — inline for
+   ``workers == 1`` (and automatically when the platform cannot spawn a
+   pool), a process pool otherwise;
+4. each outcome records wall time and cache status, and the whole run is
+   summarized in a machine-readable manifest (see
+   :mod:`repro.campaign.manifest`).
+
+On top of that loop it adds three things:
 
 **Deterministic sharding.**  Each pending job is assigned to a shard by
 :func:`shard_of` — a pure function of the job's content-addressed cache
 key — so shard membership is stable across runs, resumes, and hosts; no
 coordinator state needs to survive a crash for the plan to be
-reconstructible.  Shards are a *locality* hint, not a partition wall:
+reconstructible.  Shards are a *locality* hint, not a partition wall.
+The default is one shard per worker.
 
 **Work stealing.**  Job durations are skewed (a 4096-rank HPL sweep and a
 small STREAM job can live in the same campaign), so worker slots keep a
@@ -33,44 +45,35 @@ publication (``job.stored``) is simply re-executed: the journal is the
 witness, the cache is the payload store, and resume trusts payloads only
 from the cache.
 
-Execution is delegated to a :class:`WorkerTransport` — the seam where
-multi-host execution slots in later.  Two transports ship today:
-:class:`InlineTransport` (in-process, used for ``workers=1`` and as the
-degradation path when a pool cannot start) and
-:class:`ProcessPoolTransport` (one Python process per worker slot; each
-worker opens its own ``O_APPEND`` handle on the shared journal and its
-own view of the shared cache directory, so cache publication happens
-worker-side and concurrently — the access pattern the cache's unique-
-tmp-name atomic publish exists for).
-
-See ``docs/distributed_campaigns.md`` for the operational story.
+The execution mechanics — work items, the per-job attempt loop, the
+transports and their one pool-worker shim — live in
+:mod:`repro.campaign.runner`.  See ``docs/distributed_campaigns.md`` for
+the operational story.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import journal as jrnl
 from .. import telemetry as tele
+from .. import timeline as tline
 from ..exceptions import CampaignExecutionError, ReproError
 from .cache import ResultCache, cache_key
 from .jobs import CampaignJob
 from .runner import (
     CampaignResult,
+    InlineTransport,
     JobOutcome,
-    _attempt_job,
+    ProcessPoolTransport,
+    WorkerTransport,
+    WorkItem,
+    WorkResult,
     build_manifest,
     check_jobs,
 )
@@ -79,12 +82,6 @@ __all__ = [
     "shard_of",
     "ShardPlan",
     "plan_shards",
-    "WorkItem",
-    "WorkResult",
-    "execute_work_item",
-    "WorkerTransport",
-    "InlineTransport",
-    "ProcessPoolTransport",
     "ShardedCampaignScheduler",
 ]
 
@@ -136,327 +133,86 @@ def plan_shards(keys: Sequence[str], num_shards: int) -> ShardPlan:
     )
 
 
-@dataclass(frozen=True)
-class WorkItem:
-    """One schedulable unit: a keyed job plus everything a worker needs.
+def _dispatch_order(
+    items: Sequence[WorkItem], slots: int
+) -> List[Tuple[WorkItem, Optional[int]]]:
+    """The order items go out in: home-shard affinity, then stealing.
 
-    Self-contained and picklable by design — a transport may hand it to
-    another process (or, later, another host), so it carries *paths* to
-    the shared journal and cache, never live handles.
+    Slots take turns.  Each starts on its own home shard and refills from
+    the shard of the item it took last; once that shard runs dry it
+    steals from the deepest remaining backlog (ties: lowest shard id),
+    taking from the tail so the victim's head stays local.  Returns
+    ``(item, thief)`` pairs, where ``thief`` is the stealing slot's home
+    shard, or ``None`` for a local take.
     """
-
-    index: int  # position in the campaign's job list (ordering contract)
-    shard: int  # shard the plan assigned it to (pre-steal)
-    job: CampaignJob
-    key: str
-    retries: int = 0
-    backoff_s: float = 0.0
-    backoff_seed: int = 0
-    with_telemetry: bool = False
-    journal_path: Optional[str] = None
-    run_id: Optional[str] = None
-    timeline_dir: Optional[str] = None
-    cache_dir: Optional[str] = None
-    code_version: Optional[str] = None
-
-
-@dataclass
-class WorkResult:
-    """What came back for one :class:`WorkItem`."""
-
-    index: int
-    shard: int
-    payload: Optional[Dict]
-    error: Optional[Dict]
-    attempts: int
-    wall_s: float
-    cache_status: str  # "hit" / "computed" / "uncached" / "failed"
-    spans: Optional[List[Dict]] = None
-    metrics: Optional[Dict] = None
-    cache_stats: Optional[Dict] = None  # per-item deltas from a worker-side cache
-
-
-def execute_work_item(
-    item: WorkItem,
-    *,
-    journal: Optional[jrnl.JournalWriter] = None,
-    cache: Optional[ResultCache] = None,
-) -> WorkResult:
-    """Probe → execute (contained, with retries) → publish, for one item.
-
-    The single worker-side execution path every transport funnels
-    through.  The cache probe runs *in the executing process* — in a
-    shared cache directory another worker, shard, or concurrent campaign
-    may have published the key since the parent's pre-dispatch probe.  On
-    success the payload is published to the shared cache *from the
-    worker* (atomic rename; unique staging name), and only then does the
-    ``job.stored`` event land — so a journal that contains ``job.stored``
-    implies a durable cache entry, which is exactly the order crash
-    resume relies on.
-    """
-    t0 = time.perf_counter()
-    if cache is not None:
-        cached = cache.get(item.key)
-        if cached is not None:
-            if journal is not None:
-                journal.emit(
-                    "job.cache_hit", job=item.job.job_id, key=item.key, attempt=0
-                )
-            return WorkResult(
-                index=item.index,
-                shard=item.shard,
-                payload=cached,
-                error=None,
-                attempts=0,
-                wall_s=time.perf_counter() - t0,
-                cache_status="hit",
-            )
-    timeline_dir = Path(item.timeline_dir) if item.timeline_dir is not None else None
-    payload, error, attempts, wall = _attempt_job(
-        item.job,
-        retries=item.retries,
-        backoff_s=item.backoff_s,
-        backoff_seed=item.backoff_seed,
-        journal=journal,
-        timeline_dir=timeline_dir,
-    )
-    if error is not None:
-        return WorkResult(
-            index=item.index,
-            shard=item.shard,
-            payload=None,
-            error=error,
-            attempts=attempts,
-            wall_s=wall,
-            cache_status="failed",
-        )
-    status = "uncached"
-    if cache is not None:
-        with tele.span("job.store", job=item.job.job_id, skipped=False):
-            cache.put(item.key, payload)
-        if journal is not None:
-            journal.emit("job.stored", job=item.job.job_id, key=item.key)
-        status = "computed"
-    return WorkResult(
-        index=item.index,
-        shard=item.shard,
-        payload=payload,
-        error=None,
-        attempts=attempts,
-        wall_s=wall,
-        cache_status=status,
-    )
-
-
-#: Jobs this worker process has finished — heartbeat payload (survives
-#: across submissions into one reused pool worker).
-_WORKER_JOBS_DONE = 0
-
-
-def _scheduler_worker(item: WorkItem) -> WorkResult:
-    """Pool-side shim: rebuild per-process handles, run one item.
-
-    Mirrors the runner's pool shim: the worker drops any fork-inherited
-    ambient journal/telemetry bindings, opens its *own* ``O_APPEND``
-    handle on the shared journal (same run id) and its own view of the
-    shared cache directory, emits a pickup heartbeat, and ships finished
-    telemetry spans/metric state plus its cache-stat deltas back with the
-    payload.
-    """
-    global _WORKER_JOBS_DONE
-    journal = None
-    if item.journal_path is not None:
-        jrnl.detach()
-        journal = jrnl.JournalWriter(
-            item.journal_path, run_id=item.run_id, process=f"worker-{os.getpid()}"
-        )
-        jrnl.attach(journal)
-        journal.emit(
-            "worker.heartbeat", jobs_done=_WORKER_JOBS_DONE, **jrnl.rusage_fields()
-        )
-    cache = None
-    if item.cache_dir is not None:
-        cache = ResultCache(item.cache_dir, code_version=item.code_version)
-    try:
-        if not item.with_telemetry:
-            result = execute_work_item(item, journal=journal, cache=cache)
-        else:
-            # Fork-started workers inherit a copy of the parent session;
-            # collect into a fresh one and ship it back instead.
-            tele.deactivate()
-            session = tele.TelemetrySession(
-                label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
-            )
-            with tele.use(session):
-                result = execute_work_item(item, journal=journal, cache=cache)
-            result.spans = session.tracer.as_dicts()
-            result.metrics = session.metrics.state()
-        if cache is not None:
-            result.cache_stats = {
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "invalidations": cache.stats.invalidations,
-                "puts": cache.stats.puts,
-            }
-        return result
-    finally:
-        if journal is not None:
-            _WORKER_JOBS_DONE += 1
-            jrnl.detach()
-            journal.close()
-
-
-class WorkerTransport:
-    """Where work items execute: the multi-host seam.
-
-    A transport owns a fixed number of worker ``slots`` and moves
-    :class:`WorkItem`\\ s to them.  The scheduler drives it with a strict
-    protocol — at most ``slots`` items outstanding, ``next_result()``
-    only while ``outstanding() > 0`` — and handles policy (stealing,
-    fail-fast, fallback) itself, so a transport implements mechanics
-    only.  Implementations today run inline or on a local process pool;
-    a multi-host transport needs nothing beyond this interface because
-    items carry paths (shared journal, shared cache), never live handles.
-    """
-
-    name = "abstract"
-    slots = 1
-
-    def start(self) -> None:
-        """Acquire execution resources (may raise; scheduler degrades)."""
-
-    def submit(self, item: WorkItem) -> None:
-        raise NotImplementedError
-
-    def next_result(self) -> WorkResult:
-        raise NotImplementedError
-
-    def outstanding(self) -> int:
-        raise NotImplementedError
-
-    def close(self, *, cancel: bool = False) -> None:
-        """Release resources; ``cancel`` abandons queued work (fail-fast)."""
-
-
-class InlineTransport(WorkerTransport):
-    """Executes items synchronously in the scheduling process.
-
-    Used for ``workers=1``, single-job campaigns, and as the degradation
-    target when a process pool cannot start or dies mid-run (result-
-    identical by construction).  Items run against the *live* cache and
-    journal writer, so telemetry spans land directly in the ambient
-    session and cache stats accrue in place — no shipping needed.
-    """
-
-    name = "inline"
-    slots = 1
-
-    def __init__(
-        self,
-        *,
-        cache: Optional[ResultCache] = None,
-        journal: Optional[jrnl.JournalWriter] = None,
-    ):
-        self.cache = cache
-        self.journal = journal
-        self._done: Deque[WorkResult] = deque()
-
-    def submit(self, item: WorkItem) -> None:
-        self._done.append(
-            execute_work_item(item, journal=self.journal, cache=self.cache)
-        )
-
-    def next_result(self) -> WorkResult:
-        return self._done.popleft()
-
-    def outstanding(self) -> int:
-        return len(self._done)
-
-    def close(self, *, cancel: bool = False) -> None:
-        self._done.clear()
-
-
-class ProcessPoolTransport(WorkerTransport):
-    """Executes items on a local ``ProcessPoolExecutor``.
-
-    ``submit`` feeds one item per call (the scheduler's stealing loop
-    decides what runs next, unlike the runner's batch ``pool.map``);
-    ``next_result`` blocks on the first completed future.  Pool-level
-    failures (``BrokenExecutor``) propagate to the scheduler, which
-    re-runs uncollected items inline.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ReproError(f"transport workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.slots = workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Set[Future] = set()
-
-    def start(self) -> None:
-        if self._pool is None:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            # Surface spawn failures now, not at first submit: submitting
-            # a no-op forces worker startup on platforms that lazily fork.
-            pool.submit(int).result()
-            self._pool = pool
-
-    def submit(self, item: WorkItem) -> None:
-        if self._pool is None:
-            self.start()
-        self._futures.add(self._pool.submit(_scheduler_worker, item))
-
-    def next_result(self) -> WorkResult:
-        if not self._futures:
-            raise ReproError("next_result() with no outstanding work")
-        done, self._futures = wait(self._futures, return_when=FIRST_COMPLETED)
-        first = done.pop()
-        self._futures |= done  # completed-but-unconsumed go back in the set
-        return first.result()
-
-    def outstanding(self) -> int:
-        return len(self._futures)
-
-    def close(self, *, cancel: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
-            self._pool = None
-        self._futures.clear()
+    backlog: Dict[int, Deque[WorkItem]] = {}
+    for item in items:
+        backlog.setdefault(item.shard, deque()).append(item)
+    homes = sorted(backlog)
+    slot_homes = [homes[s % len(homes)] for s in range(min(max(1, slots), len(items)))]
+    order: List[Tuple[WorkItem, Optional[int]]] = []
+    while len(order) < len(items):
+        for slot, home in enumerate(slot_homes):
+            if backlog[home]:
+                item, thief = backlog[home].popleft(), None
+            else:
+                donors = [shard for shard, queue in backlog.items() if queue]
+                if not donors:
+                    break
+                donor = max(donors, key=lambda shard: (len(backlog[shard]), -shard))
+                item, thief = backlog[donor].pop(), home
+            order.append((item, thief))
+            slot_homes[slot] = item.shard
+    return order
 
 
 class ShardedCampaignScheduler:
-    """Sharded, work-stealing, crash-resumable campaign executor.
+    """Executes campaigns of independent jobs: sharded, stealing, resumable.
 
-    Accepts the :class:`~repro.campaign.runner.CampaignRunner` policy
-    surface (cache, retries, keep-going, backoff, journal, timeline) plus
-    the sharding knobs, and produces the same
-    :class:`~repro.campaign.runner.CampaignResult` — manifests from both
-    executors are fingerprint-identical for the same jobs.
+    Also exported as :class:`~repro.campaign.runner.CampaignRunner`.
 
     Parameters
     ----------
     workers:
-        Worker-slot count.  ``1`` runs inline; more uses a process pool
-        (or the supplied ``transport``).
+        Worker-slot count.  ``1`` (default) runs inline; more uses a
+        process pool (or the supplied ``transport``).  Pools that fail to
+        start (restricted platforms) or die mid-campaign degrade to inline
+        execution, which is result-identical by construction and only
+        re-executes jobs whose results were not already collected.
     shards:
         Shard count for the deterministic plan; ``0`` (default) means one
         shard per worker slot.
     cache:
-        The shared :class:`ResultCache`.  Optional for plain runs,
-        *required* for resume — the journal records what finished, the
+        The shared :class:`ResultCache`, or ``None`` to always execute.
+        *Required* for resume — the journal records what finished, the
         cache holds the payloads.
+    retries:
+        Extra executions granted to a failing job (0 = one attempt only).
+        Backed off exponentially from ``backoff_s`` with seeded jitter.
+    keep_going:
+        Failure policy once retries are exhausted: ``False`` (default)
+        raises :class:`~repro.exceptions.CampaignExecutionError`;
+        ``True`` records the failure and finishes the surviving jobs.
+    backoff_s:
+        Base backoff delay in seconds (0 disables sleeping — the right
+        setting for simulated faults and tests).
+    backoff_seed:
+        Seed for the backoff jitter stream.
     journal:
-        Flight-recorder target: a path (scheduler-owned, finalized here)
-        or a caller-owned :class:`~repro.journal.JournalWriter`.
-        Required for resume.
+        Flight-recorder target: a path (the scheduler creates, finalizes,
+        and digests the journal) or an existing
+        :class:`~repro.journal.JournalWriter` (the caller keeps ownership
+        and finalization).  ``None`` (default) records nothing.  Required
+        for resume.
+    timeline:
+        Directory for per-job power-timeline artifacts
+        (:mod:`repro.timeline`).  When set, every executed job arms the
+        ambient timeline sink and its captured run timelines land as
+        ``<dir>/<job_id>.timeline.json`` — the input of ``tgi dashboard``.
+        ``None`` (default) captures nothing; cached jobs never re-capture.
     transport:
-        A :class:`WorkerTransport` to execute on, overriding the
-        inline/process-pool choice (the multi-host hook).
-    retries / keep_going / backoff_s / backoff_seed / timeline:
-        Exactly as on :class:`~repro.campaign.runner.CampaignRunner`.
+        A :class:`~repro.campaign.runner.WorkerTransport` to execute on,
+        overriding the inline/process-pool choice (the multi-host hook).
     """
 
     def __init__(
@@ -491,18 +247,8 @@ class ShardedCampaignScheduler:
         self.journal = journal
         self.timeline = Path(timeline) if timeline is not None else None
         self.transport = transport
-        # The in-flight journal writer, visible to _work_items/_make_transport
-        # for the duration of one run() call only.
-        self._live_writer: Optional[jrnl.JournalWriter] = None
 
     # ------------------------------------------------------------------
-    def _journal_path(self) -> Optional[Path]:
-        if self.journal is None:
-            return None
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal.path
-        return Path(self.journal)
-
     def _resume_state(
         self, jobs: Sequence[CampaignJob], keys: Sequence[str]
     ) -> jrnl.RunState:
@@ -516,7 +262,10 @@ class ShardedCampaignScheduler:
                 "resume needs the shared result cache: the journal records what "
                 "finished; the cache holds the payloads"
             )
-        path = self._journal_path()
+        if isinstance(self.journal, jrnl.JournalWriter):
+            path = self.journal.path
+        else:
+            path = Path(self.journal)
         if not path.exists():
             raise ReproError(f"cannot resume: journal {path} does not exist")
         state = jrnl.replay(jrnl.read_events(path))
@@ -540,29 +289,17 @@ class ShardedCampaignScheduler:
                 )
         return state
 
-    def _journal_writer(
-        self, label: str, prior: Optional[jrnl.RunState]
-    ) -> Tuple[Optional[jrnl.JournalWriter], bool]:
-        """The run's writer plus ownership; resumes reuse the prior run id."""
-        if self.journal is None:
-            return None, False
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal, False
-        run_id = prior.run_id if prior is not None and prior.run_id else None
-        return (
-            jrnl.JournalWriter(self._journal_path(), label=label, run_id=run_id),
-            True,
-        )
-
     def _num_shards(self) -> int:
         return self.shards if self.shards else max(1, self.workers)
 
-    def _make_transport(self, pending: int) -> WorkerTransport:
+    def _make_transport(
+        self, pending: int, writer: Optional[jrnl.JournalWriter]
+    ) -> WorkerTransport:
         if self.transport is not None:
             return self.transport
         if self.workers > 1 and pending > 1:
             return ProcessPoolTransport(min(self.workers, pending))
-        return InlineTransport(cache=self.cache, journal=self._live_writer)
+        return InlineTransport(cache=self.cache, journal=writer)
 
     # ------------------------------------------------------------------
     def run(
@@ -574,14 +311,18 @@ class ShardedCampaignScheduler:
     ) -> CampaignResult:
         """Execute (or resume) the campaign; returns outcomes plus manifest.
 
+        Raises :class:`~repro.exceptions.CampaignExecutionError` when a
+        job exhausts its retries under the fail-fast policy (the default);
+        with ``keep_going`` the error surfaces in the outcome/manifest and
+        the method still returns.  A fail-fast abort still finalizes a
+        scheduler-owned journal (``run.stop`` with ``status="aborted"``) —
+        the flight recorder's whole point is surviving the crash.
+
         With ``resume=True`` the journal must already exist: its events
         are replayed first, recovered jobs are served from the shared
         cache without re-execution, and the remainder is re-sharded and
         re-dispatched while the same journal file grows under the
-        original run id.  Failure policy matches the runner: fail-fast
-        raises :class:`~repro.exceptions.CampaignExecutionError` (after
-        finalizing a scheduler-owned journal as ``aborted``); keep-going
-        records the damage and returns.
+        original run id.
         """
         jobs = check_jobs(jobs)
         if self.timeline is not None:
@@ -602,9 +343,15 @@ class ShardedCampaignScheduler:
                     if job_state.status in ("completed", "cached")
                 }
 
-            writer, owns_writer = self._journal_writer(label, prior)
-            self._live_writer = writer
+            writer, owns_writer = jrnl.open_journal(
+                self.journal,
+                label=label,
+                run_id=prior.run_id if prior is not None else None,
+            )
             num_shards = self._num_shards()
+            # Ambient emission is what lets deeply nested code (the fault
+            # injector) journal on the inline path; pool workers attach
+            # their own per-process handle instead.
             attached_ambient = False
             if writer is not None and jrnl.ambient() is None:
                 jrnl.attach(writer)
@@ -680,7 +427,7 @@ class ShardedCampaignScheduler:
                         writer.emit("shard.planned", shard=shard, jobs=len(members))
 
                 if pending:
-                    items = self._work_items(jobs, keys, pending, plan)
+                    items = self._work_items(jobs, keys, pending, plan, writer)
                     results, stolen, workers_used, transport_name = self._dispatch(
                         items, writer
                     )
@@ -693,6 +440,13 @@ class ShardedCampaignScheduler:
                             errors[index] = result.error
                         else:
                             payloads[index] = result.payload
+                        if result.cache_status == "uncached":
+                            # Traced parent-side so that pool workers ship
+                            # back only their job.execute roots.
+                            with tele.span(
+                                "job.store", job=jobs[index].job_id, skipped=True
+                            ):
+                                pass
                         if result.cache_stats and self.cache is not None:
                             # Worker-side cache objects saw the traffic;
                             # fold their deltas into the parent's books.
@@ -704,8 +458,8 @@ class ShardedCampaignScheduler:
                             self.cache.stats.puts += result.cache_stats["puts"]
 
                 failed = [i for i in pending if i in errors]
-                # Jobs the fail-fast stop never dispatched: keep runner
-                # vocabulary — no payload, no error, zero attempts.
+                # Jobs the fail-fast stop never dispatched: no payload, no
+                # error, zero attempts.
                 for index in pending:
                     if index not in statuses:
                         statuses[index] = "failed" if index in errors else "uncached"
@@ -749,7 +503,6 @@ class ShardedCampaignScheduler:
             finally:
                 if attached_ambient:
                     jrnl.detach()
-                self._live_writer = None
 
         total_wall = time.perf_counter() - t_start
         outcomes = [
@@ -787,8 +540,6 @@ class ShardedCampaignScheduler:
                 journal_info["sha256"] = summary["sha256"]
         timeline_info = None
         if self.timeline is not None:
-            from .. import timeline as tline
-
             artifacts = sorted(self.timeline.glob("*.timeline.json"))
             timeline_info = {
                 "dir": str(self.timeline),
@@ -830,11 +581,9 @@ class ShardedCampaignScheduler:
         keys: Sequence[str],
         pending: Sequence[int],
         plan: ShardPlan,
+        writer: Optional[jrnl.JournalWriter],
     ) -> List[WorkItem]:
         """Materialize work items for the pending jobs, shard-annotated."""
-        writer = self._live_writer
-        journal_path = str(writer.path) if writer is not None else None
-        run_id = writer.run_id if writer is not None else None
         shard_by_position = {}
         for shard, members in enumerate(plan.assignments):
             for position in members:
@@ -849,8 +598,8 @@ class ShardedCampaignScheduler:
                 backoff_s=self.backoff_s,
                 backoff_seed=self.backoff_seed,
                 with_telemetry=tele.current() is not None,
-                journal_path=journal_path,
-                run_id=run_id,
+                journal_path=str(writer.path) if writer is not None else None,
+                run_id=writer.run_id if writer is not None else None,
                 timeline_dir=str(self.timeline) if self.timeline else None,
                 cache_dir=str(self.cache.directory) if self.cache is not None else None,
                 code_version=self.cache.code_version if self.cache is not None else None,
@@ -861,109 +610,79 @@ class ShardedCampaignScheduler:
     def _dispatch(
         self, items: List[WorkItem], writer: Optional[jrnl.JournalWriter]
     ) -> Tuple[Dict[int, WorkResult], int, int, str]:
-        """Drive the transport to drain all items; the stealing loop.
+        """Drive the transport until every item has a result.
 
         Returns ``(results by job index, steals, workers used, transport
-        name)``.  Worker slots keep a home-shard affinity: a finished
-        slot refills from the shard of the item it just completed and
-        steals from the deepest backlog once that shard drains
-        (``job.stolen`` events).  Fail-fast stops refilling on the first
-        exhausted job but still collects everything in flight, so no
-        completed work is dropped.  A pool that cannot start (or dies
-        mid-run) degrades to inline execution for the uncollected
-        remainder — result-identical, like the runner's fallback.
+        name)``.  Items go out in :func:`_dispatch_order`; each steal is
+        journaled (``job.stolen``) as the stolen item is dispatched.
+        Fail-fast stops collecting at the first exhausted job and cancels
+        queued work.  A pool that cannot start (or dies mid-run) degrades
+        to inline execution for the uncollected remainder — result-
+        identical, re-executing only what never came back.
         """
         session = tele.current()
-        transport = self._make_transport(len(items))
-        is_inline = isinstance(transport, InlineTransport)
-        if not is_inline:
-            try:
-                transport.start()
-            except (OSError, PermissionError, ImportError, BrokenExecutor):
-                transport.close(cancel=True)
-                transport = InlineTransport(cache=self.cache, journal=writer)
-                is_inline = True
-        workers_used = 1 if is_inline else min(transport.slots, len(items))
-
-        backlog: Dict[int, Deque[WorkItem]] = {}
-        for item in items:
-            backlog.setdefault(item.shard, deque()).append(item)
-
-        stolen = 0
+        transport = self._make_transport(len(items), writer)
+        workers_used = min(transport.slots, len(items))
+        transport_name = transport.name
         results: Dict[int, WorkResult] = {}
-        stop_refill = False
+        stolen = 0
 
-        def take(home: int) -> Optional[WorkItem]:
+        def feed():
             nonlocal stolen
-            queue = backlog.get(home)
-            if queue:
-                return queue.popleft()
-            donors = [shard for shard, queue in backlog.items() if queue]
-            if not donors:
-                return None
-            # Steal from the deepest backlog (ties: lowest shard id),
-            # taking from the tail so the victim's head stays local.
-            donor = max(donors, key=lambda shard: (len(backlog[shard]), -shard))
-            item = backlog[donor].pop()
-            stolen += 1
-            if writer is not None:
-                writer.emit(
-                    "job.stolen",
-                    job=item.job.job_id,
-                    from_shard=item.shard,
-                    by_shard=home,
-                )
-            return item
+            for item, thief in _dispatch_order(items, transport.slots):
+                if thief is not None:
+                    stolen += 1
+                    if writer is not None:
+                        writer.emit(
+                            "job.stolen",
+                            job=item.job.job_id,
+                            from_shard=item.shard,
+                            by_shard=thief,
+                        )
+                yield item
+
+        def collect(stream) -> bool:
+            """Record results as they arrive; True once fail-fast trips."""
+            for result in stream:
+                results[result.index] = result
+                if session is not None and result.spans:
+                    session.tracer.absorb(
+                        result.spans,
+                        parent_id=pool_span.span_id,
+                        offset_s=pool_span.t_start,
+                    )
+                if session is not None and result.metrics:
+                    session.metrics.merge(result.metrics)
+                if result.error is not None and not self.keep_going:
+                    return True
+            return False
 
         with tele.span(
-            "campaign.shards",
-            transport=transport.name,
+            "campaign.pool",
+            transport=transport_name,
             workers=workers_used,
             jobs=len(items),
-        ) as shards_span:
+        ) as pool_span:
+            # Anything that escapes collection cancels the queued work.
+            stop, broken = True, False
             try:
-                homes = sorted(shard for shard, queue in backlog.items() if queue)
-                for slot in range(min(max(1, transport.slots), len(items))):
-                    item = take(homes[slot % len(homes)])
-                    if item is None:
-                        break
-                    transport.submit(item)
-                while transport.outstanding():
-                    result = transport.next_result()
-                    results[result.index] = result
-                    if session is not None and result.spans:
-                        session.tracer.absorb(
-                            result.spans,
-                            parent_id=shards_span.span_id,
-                            offset_s=shards_span.t_start,
-                        )
-                    if session is not None and result.metrics:
-                        session.metrics.merge(result.metrics)
-                    if result.error is not None and not self.keep_going:
-                        stop_refill = True
-                    if not stop_refill:
-                        item = take(result.shard)
-                        if item is not None:
-                            transport.submit(item)
-                transport.close(cancel=stop_refill)
-            except BrokenExecutor:
-                # The pool died under us: abandon it and finish every
-                # uncollected item inline (the runner's degradation
-                # contract, re-executing only what never came back).
-                transport.close(cancel=True)
-                leftovers = [it for it in items if it.index not in results]
-                if tele.active() and leftovers:
+                stop = collect(transport.map(feed()))
+            except (OSError, ImportError, BrokenExecutor):
+                if isinstance(transport, InlineTransport):
+                    raise
+                broken = True
+            finally:
+                transport.close(cancel=stop)
+            if broken:
+                leftovers = [item for item in items if item.index not in results]
+                if not results:
+                    # The pool never delivered: the whole run was inline.
+                    workers_used, transport_name = 1, InlineTransport.name
+                elif tele.active():
                     tele.count(
                         "tgi_campaign_pool_fallback_total",
                         resumed_jobs=len(leftovers),
                     )
                 inline = InlineTransport(cache=self.cache, journal=writer)
-                for item in leftovers:
-                    if stop_refill:
-                        break
-                    inline.submit(item)
-                    result = inline.next_result()
-                    results[result.index] = result
-                    if result.error is not None and not self.keep_going:
-                        stop_refill = True
-        return results, stolen, workers_used, transport.name
+                collect(inline.map(leftovers))
+        return results, stolen, workers_used, transport_name

@@ -10,7 +10,7 @@
     tgi campaign --workers 4     # parallel, cached measurement campaign
     tgi campaign --journal r.jl  # ... with the flight recorder armed
     tgi campaign --timeline tl/  # ... with per-job power timelines captured
-    tgi campaign --shards 8 --cache-dir c/ --journal r.jl   # sharded scheduler
+    tgi campaign --shards 8 --cache-dir c/ --journal r.jl   # 8 shards, any workers
     tgi campaign --resume r.jl --cache-dir c/   # crash-resume a journaled run
     tgi watch r.jl               # live progress of an in-flight journaled run
     tgi tail r.jl -f             # stream journal events as they arrive
@@ -285,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="run on the sharded work-stealing scheduler with N deterministic "
-        "shards (0 = plain runner unless --resume; resume defaults to one "
-        "shard per worker)",
+        help="plan the campaign into N deterministic work-stealing shards "
+        "(0 = one shard per worker)",
     )
     campaign.add_argument(
         "--resume",
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     f_rank.add_argument(
         "--full-sim",
         action="store_true",
-        help="force every system through the campaign executors "
+        help="force every system through the campaign executor "
         "(simulated meter included) instead of the analytic path",
     )
     f_rank.add_argument(
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="campaign leg on the sharded scheduler with N shards",
+        help="campaign-leg shard count (0 = one shard per worker)",
     )
     f_rank.add_argument(
         "--cache-dir",
@@ -1448,13 +1447,7 @@ def _cmd_campaign(
 ) -> int:
     import dataclasses
 
-    from .campaign import (
-        CampaignRunner,
-        ResultCache,
-        ShardedCampaignScheduler,
-        fleet_jobs,
-        paper_jobs,
-    )
+    from .campaign import CampaignRunner, ResultCache, fleet_jobs, paper_jobs
     from .telemetry import attribution_to_dicts, campaign_attribution, render_attribution
 
     jobs = paper_jobs(PAPER_CONFIG)
@@ -1492,30 +1485,17 @@ def _cmd_campaign(
             )
         journal = resume
     cache = ResultCache(cache_dir) if cache_dir else None
-    sharded = bool(shards) or resume is not None
-    if sharded:
-        runner = ShardedCampaignScheduler(
-            workers=workers,
-            shards=shards,
-            cache=cache,
-            retries=retries,
-            keep_going=keep_going,
-            backoff_s=retry_backoff,
-            backoff_seed=fault_seed,
-            journal=journal,
-            timeline=timeline,
-        )
-    else:
-        runner = CampaignRunner(
-            workers=workers,
-            cache=cache,
-            retries=retries,
-            keep_going=keep_going,
-            backoff_s=retry_backoff,
-            backoff_seed=fault_seed,
-            journal=journal,
-            timeline=timeline,
-        )
+    runner = CampaignRunner(
+        workers=workers,
+        shards=shards,
+        cache=cache,
+        retries=retries,
+        keep_going=keep_going,
+        backoff_s=retry_backoff,
+        backoff_seed=fault_seed,
+        journal=journal,
+        timeline=timeline,
+    )
     if resume is not None:
         _console.status(f"resuming campaign from journal: {resume}")
     if journal:
@@ -1528,15 +1508,12 @@ def _cmd_campaign(
             f"(render with `tgi dashboard --timeline {timeline}`)"
         )
 
-    run_kwargs = {"label": "cli-campaign"}
-    if sharded:
-        run_kwargs["resume"] = resume is not None
     session = None
     if telemetry:
         with tele.use(tele.TelemetrySession(label="cli-campaign")) as session:
-            result = runner.run(jobs, **run_kwargs)
+            result = runner.run(jobs, label="cli-campaign", resume=resume is not None)
     else:
-        result = runner.run(jobs, **run_kwargs)
+        result = runner.run(jobs, label="cli-campaign", resume=resume is not None)
 
     rows = []
     for outcome in result:
@@ -1668,7 +1645,7 @@ def _cmd_fleet_rank(args) -> int:
     )
     _console.status(
         f"ranking a fleet of {args.count} {args.era}-era machines "
-        + ("through the campaign executors..." if args.full_sim else "on the batched analytic path...")
+        + ("through the campaign executor..." if args.full_sim else "on the batched analytic path...")
     )
     session = None
     if args.telemetry:

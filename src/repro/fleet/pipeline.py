@@ -5,11 +5,11 @@ or raw specs — and produces one TGI-ranked list.  Systems the analytic
 batched path covers (CPU-only nodes) are scored inline, chunk by chunk,
 through :func:`repro.fleet.evaluate.evaluate_fleet`; everything else
 (accelerated nodes, or ``full_sim=True``) falls back to the campaign
-executors — :class:`~repro.campaign.runner.CampaignRunner` or, with
-``shards``, the :class:`~repro.campaign.scheduler.ShardedCampaignScheduler`
-— with their full cache/retry/journal/timeline surface.  Both legs land in
-the same row schema, so the output list is indifferent to which path
-scored a system.
+executor — :class:`~repro.campaign.runner.CampaignRunner`, the sharded
+scheduler with one shard per worker unless ``shards`` says otherwise —
+with its full cache/retry/journal/timeline surface.  Both legs land in the
+same row schema, so the output list is indifferent to which path scored a
+system.
 
 The ranking mirrors ``examples/green500_style_list.py``: MFLOPS/W rank vs
 TGI rank, movers, the weakest subsystem per machine, Spearman/Pearson rank
@@ -32,7 +32,6 @@ from ..analysis.correlation import pearson, spearman
 from ..campaign.cache import ResultCache
 from ..campaign.jobs import CampaignJob, ClusterRef
 from ..campaign.runner import CampaignRunner
-from ..campaign.scheduler import ShardedCampaignScheduler
 from ..cluster.cluster import ClusterSpec
 from ..cluster.generator import fleet_seeds
 from ..core.weights import validate_weights
@@ -257,15 +256,15 @@ class FleetRankingPipeline:
         Analytic leg implementation: ``"batched"`` (vectorized, default)
         or ``"reference"`` (scalar oracle — slow, for cross-checks).
     full_sim:
-        Force *every* system through the campaign executors (the
+        Force *every* system through the campaign executor (the
         pre-batched behaviour; meter noise included).
     chunk_size:
         Systems per vectorized evaluation chunk (bounds peak memory).
     memoize:
         Content-keyed sub-result sharing on the batched leg.
     workers / shards / cache_dir / retries / keep_going:
-        Campaign-leg execution policy; ``shards > 0`` selects the sharded
-        scheduler.  All idle when everything batches.
+        Campaign-leg execution policy; ``shards=0`` means one shard per
+        worker.  All idle when everything batches.
     journal:
         Flight-recorder path or caller-owned writer.  The campaign leg
         logs its usual events into it; the pipeline appends one
@@ -330,28 +329,16 @@ class FleetRankingPipeline:
         self.confidence = confidence
 
     # ------------------------------------------------------------------
-    def _journal_writer(
-        self, label: str
-    ) -> Tuple[Optional[jrnl.JournalWriter], bool]:
-        if self.journal is None:
-            return None, False
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal, False
-        return jrnl.JournalWriter(Path(self.journal), label=label), True
-
     def _campaign_executor(self, writer: Optional[jrnl.JournalWriter]):
-        cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        common = dict(
+        return CampaignRunner(
             workers=self.workers,
-            cache=cache,
+            shards=self.shards,
+            cache=ResultCache(self.cache_dir) if self.cache_dir else None,
             retries=self.retries,
             keep_going=self.keep_going,
             journal=writer,
             timeline=self.timeline,
         )
-        if self.shards:
-            return ShardedCampaignScheduler(shards=self.shards, **common)
-        return CampaignRunner(**common)
 
     @staticmethod
     def _as_member(system: Union[FleetMember, ClusterSpec], index: int) -> Tuple[
@@ -377,7 +364,7 @@ class FleetRankingPipeline:
         if not fleet:
             raise FleetError("cannot rank an empty fleet")
         started = time.perf_counter()
-        writer, owns_journal = self._journal_writer(label)
+        writer, owns_journal = jrnl.open_journal(self.journal, label=label)
         try:
             with tele.span("fleet.rank", systems=len(fleet), label=label):
                 ranking = self._rank(fleet, label, writer, started)
@@ -430,7 +417,7 @@ class FleetRankingPipeline:
                     raise FleetError(
                         f"system {name!r} needs the simulation path (full_sim "
                         "or accelerators) — pass it as a FleetMember so the "
-                        "campaign executors can reference it"
+                        "campaign executor can reference it"
                     )
                 else:
                     simulated.append((i, member))
@@ -460,7 +447,7 @@ class FleetRankingPipeline:
                     powers[b][idx] = scores.power_w
                     memo_unique[b] += evaluation.memo_unique[b]
 
-        # --- simulation leg (campaign executors) -----------------------
+        # --- simulation leg (campaign executor) ------------------------
         cache_hits = 0
         ref_efficiencies: Optional[Dict[str, float]] = None
         jobs = [

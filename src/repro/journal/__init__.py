@@ -77,6 +77,7 @@ from .writer import (
     emit,
     journaling,
     new_run_id,
+    open_journal,
     rusage_delta,
     rusage_fields,
     use_writer,
@@ -91,6 +92,7 @@ __all__ = [
     "JournalWriter",
     "CrashingJournalWriter",
     "SimulatedCrash",
+    "open_journal",
     "new_run_id",
     "rusage_fields",
     "rusage_delta",

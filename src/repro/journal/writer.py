@@ -32,7 +32,7 @@ import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..exceptions import JournalError
 from .events import JOURNAL_VERSION, check_event
@@ -41,6 +41,7 @@ __all__ = [
     "JournalWriter",
     "CrashingJournalWriter",
     "SimulatedCrash",
+    "open_journal",
     "new_run_id",
     "rusage_fields",
     "rusage_delta",
@@ -281,6 +282,28 @@ class CrashingJournalWriter(JournalWriter):
                 f"simulated crash after {self.events_written} events (last: {event})"
             )
         return record
+
+
+def open_journal(
+    target: Union[None, str, Path, JournalWriter],
+    *,
+    label: str = "run",
+    run_id: Optional[str] = None,
+) -> Tuple[Optional[JournalWriter], bool]:
+    """A run's journal writer plus whether the caller owns it.
+
+    ``target`` is what the campaign executors accept as ``journal=``:
+    ``None`` records nothing; an existing :class:`JournalWriter` is used
+    as-is and stays its creator's to finalize (``owns=False``); a path
+    opens a new writer that the caller must finalize (``owns=True``).
+    ``run_id`` continues an existing run — a resumed campaign extends its
+    journal under the original id.
+    """
+    if target is None:
+        return None, False
+    if isinstance(target, JournalWriter):
+        return target, False
+    return JournalWriter(Path(target), label=label, run_id=run_id), True
 
 
 # Ambient writer --------------------------------------------------------

@@ -13,6 +13,8 @@ The contracts pinned here:
   planned shards finishes everything and journals each steal;
 * failure policy matches the runner: fail-fast raises
   :class:`CampaignExecutionError`, keep-going records the damage;
+* each cache lookup is counted once: the executing process's re-check
+  of a job the scheduler already probed adds no second miss;
 * resume demands its inputs (journal + cache), rejects journals from a
   different campaign, and rejects jobs whose definition changed since the
   crash (key mismatch);
@@ -27,6 +29,7 @@ import dataclasses
 import pytest
 
 from repro import journal as jrnl
+from repro import telemetry as tele
 from repro.campaign import (
     CampaignJob,
     CampaignRunner,
@@ -200,6 +203,36 @@ class TestSchedulerParity:
             ShardedCampaignScheduler(shards=-1)
         with pytest.raises(ReproError):
             ShardedCampaignScheduler(retries=-1)
+
+
+# ---------------------------------------------------------------------------
+# Cache accounting
+
+
+class TestCacheAccounting:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_lookup_counts_once(self, workers, tmp_path):
+        jobs = _jobs(2)
+        cold_cache = ResultCache(tmp_path / "cache")
+        session = tele.TelemetrySession()
+        with tele.use(session):
+            cold = ShardedCampaignScheduler(workers=workers, cache=cold_cache).run(
+                jobs, label=LABEL
+            )
+        assert cold_cache.stats.misses == len(jobs)
+        assert cold_cache.stats.puts == len(jobs)
+        assert cold.manifest["cache"]["misses"] == len(jobs)
+        lookups = session.metrics.as_dict()["tgi_cache_lookups_total"]["samples"]
+        assert sum(
+            s["value"] for s in lookups if s["labels"]["result"] == "miss"
+        ) == len(jobs)
+
+        warm_cache = ResultCache(tmp_path / "cache")
+        ShardedCampaignScheduler(workers=workers, cache=warm_cache).run(
+            jobs, label=LABEL
+        )
+        assert warm_cache.stats.hits == len(jobs)
+        assert warm_cache.stats.misses == 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,6 @@ from .base import Benchmark, BuiltRun
 
 __all__ = ["HPLBenchmark"]
 
-#: Per-rank share of node memory bandwidth during the update kernel.
-_HPL_MEMORY_PER_RANK = 0.04
-#: NIC utilization while a rank is in its communication super-step.
-_HPL_NIC_UTIL = 0.9
-#: CPU intensity during the DGEMM-dominated compute super-steps.
-_HPL_COMPUTE_INTENSITY = 1.0
-#: CPU intensity while blocked in MPI broadcasts: HPL links busy-poll, so a
-#: "communicating" core still burns close to full power.
-_HPL_COMM_INTENSITY = 0.8
-
 
 class HPLBenchmark(Benchmark):
     """High-Performance LINPACK, stressing the CPU subsystem.
@@ -58,14 +48,26 @@ class HPLBenchmark(Benchmark):
     name = "HPL"
     metric_label = "FLOP/s"
 
+    # Class-level defaults; the constructor may override the first three
+    # per instance.
+    #: CPU intensity during the DGEMM-dominated compute super-steps.
+    compute_intensity = 1.0
+    #: CPU intensity while blocked in MPI broadcasts: HPL links busy-poll, so
+    #: a "communicating" core still burns close to full power.
+    comm_intensity = 0.8
+    #: Per-rank share of node memory bandwidth during the update kernel.
+    memory_per_rank = 0.04
+    #: NIC utilization while a rank is in its communication super-step.
+    nic_utilization = 0.9
+
     def __init__(
         self,
         *,
         sizing: Tuple[str, float] = ("memory", 0.8),
         rounds: int = 6,
-        compute_intensity: float = _HPL_COMPUTE_INTENSITY,
-        comm_intensity: float = _HPL_COMM_INTENSITY,
-        memory_per_rank: float = _HPL_MEMORY_PER_RANK,
+        compute_intensity: float = compute_intensity,
+        comm_intensity: float = comm_intensity,
+        memory_per_rank: float = memory_per_rank,
         **model_kwargs,
     ):
         mode, value = sizing
@@ -135,7 +137,7 @@ class HPLBenchmark(Benchmark):
                     program.append(
                         comm_phase(
                             comm_slice,
-                            nic=_HPL_NIC_UTIL,
+                            nic=self.nic_utilization,
                             intensity=self.comm_intensity,
                             label="hpl-bcast",
                         )

@@ -19,11 +19,6 @@ from .base import Benchmark, BuiltRun
 
 __all__ = ["IOzoneBenchmark"]
 
-#: CPU intensity of the writer process (mostly blocked in write(2)).
-_IOZONE_INTENSITY = 0.15
-#: Memory-bandwidth share of page-cache copies.
-_IOZONE_MEMORY = 0.05
-
 
 class IOzoneBenchmark(Benchmark):
     """IOzone write test, stressing the I/O subsystem.
@@ -46,6 +41,11 @@ class IOzoneBenchmark(Benchmark):
 
     name = "IOzone"
     metric_label = "B/s"
+
+    #: CPU intensity of the writer process (mostly blocked in write(2)).
+    cpu_intensity = 0.15
+    #: Memory-bandwidth share of page-cache copies.
+    memory_share = 0.05
 
     def __init__(
         self,
@@ -81,8 +81,8 @@ class IOzoneBenchmark(Benchmark):
         write = Phase(
             kind=PhaseKind.IO,
             duration_s=prediction.time_s,
-            cpu_intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
+            cpu_intensity=self.cpu_intensity,
+            memory=self.memory_share,
             storage=1.0,
             label="iozone-write",
         )

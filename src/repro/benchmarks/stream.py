@@ -22,9 +22,6 @@ from .base import Benchmark, BuiltRun
 
 __all__ = ["StreamBenchmark"]
 
-#: CPU intensity of a core executing Triad (stalled on DRAM most cycles).
-_STREAM_INTENSITY = 0.6
-
 
 class StreamBenchmark(Benchmark):
     """STREAM Triad, stressing the memory subsystem.
@@ -47,14 +44,20 @@ class StreamBenchmark(Benchmark):
     name = "STREAM"
     metric_label = "B/s"
 
+    # Class-level defaults; the constructor may override them per instance.
+    #: Per-rank array length (the STREAM reference size).
+    array_elements = 20_000_000
+    #: CPU intensity of a core executing Triad (stalled on DRAM most cycles).
+    intensity = 0.6
+
     def __init__(
         self,
         *,
-        array_elements: int = 20_000_000,
+        array_elements: int = array_elements,
         iterations: int = 100,
         target_seconds: Optional[float] = None,
         rounds: int = 4,
-        intensity: float = _STREAM_INTENSITY,
+        intensity: float = intensity,
     ):
         if array_elements < 1:
             raise BenchmarkError("array_elements must be >= 1")

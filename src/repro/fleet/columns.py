@@ -5,9 +5,10 @@ arrays feeding the sweep-line integrator).  This module does the same
 along the *system* axis: a :class:`FleetColumns` holds one 1-D array per
 subsystem parameter — clock, per-socket cores, DRAM bandwidth, storage
 rate, NIC alpha/beta, the whole power envelope — with row ``i`` describing
-fleet member ``i``.  One NumPy expression over these columns then scores
-every system at once (:mod:`repro.fleet.evaluate`) instead of paying
-per-system model objects, rank programs, and process-pool jobs.
+fleet member ``i``.  The perf and power model functions, called on these
+columns, then score every system at once (:mod:`repro.fleet.evaluate`)
+instead of paying per-system model objects, rank programs, and
+process-pool jobs.
 
 Only *batchable* systems pack: homogeneous CPU-only nodes with the default
 PSU (exactly what :func:`repro.cluster.generator.generate_cluster`
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import FleetError
+from ..power.node_power import power_envelope, psu_rated_watts
 
 __all__ = ["FleetColumns", "is_batchable", "require_batchable"]
 
@@ -108,6 +110,11 @@ class FleetColumns:
         return self.num_nodes * self.node_cores
 
     @property
+    def peak_flops_per_core(self) -> np.ndarray:
+        """Per-core peak DP FLOP/s."""
+        return self.clock_hz * self.flops_per_cycle
+
+    @property
     def node_memory_bytes(self) -> np.ndarray:
         """DRAM per node."""
         return self.sockets * self.mem_capacity_bytes
@@ -130,33 +137,23 @@ class FleetColumns:
         def col(values: List[float]) -> np.ndarray:
             return np.asarray(values, dtype=float)
 
-        # PSU sizing mirrors NodePowerModel's default: rated at
-        # _PSU_SIZING_FACTOR x the node's nominal full-load DC draw.
-        from ..power.node_power import _PSU_SIZING_FACTOR
-
+        envelopes = [power_envelope(n) for n in nodes]
         return cls(
             names=tuple(spec.name for spec in specs),
             num_nodes=col([spec.num_nodes for spec in specs]),
-            sockets=col([n.sockets for n in nodes]),
             cpu_cores=col([n.cpu.cores for n in nodes]),
             clock_hz=col([n.cpu.base_clock_hz for n in nodes]),
             flops_per_cycle=col([n.cpu.flops_per_cycle for n in nodes]),
-            cpu_tdp_w=col([n.cpu.tdp_watts for n in nodes]),
-            cpu_idle_w=col([n.cpu.idle_watts for n in nodes]),
             mem_sustained_bw=col([n.memory.sustained_bandwidth for n in nodes]),
             mem_cores_to_saturate=col([n.memory.cores_to_saturate for n in nodes]),
             mem_capacity_bytes=col([n.memory.capacity_bytes for n in nodes]),
-            mem_idle_w=col([n.memory.idle_watts for n in nodes]),
-            mem_active_w=col([n.memory.active_watts for n in nodes]),
             storage_write_bw=col([n.storage.seq_write_bandwidth for n in nodes]),
-            storage_idle_w=col([n.storage.idle_watts for n in nodes]),
-            storage_active_w=col([n.storage.active_watts for n in nodes]),
             nic_bandwidth=col([n.nic.bandwidth for n in nodes]),
             nic_latency_s=col([n.nic.latency_s for n in nodes]),
-            nic_idle_w=col([n.nic.idle_watts for n in nodes]),
-            nic_active_w=col([n.nic.active_watts for n in nodes]),
-            base_watts=col([n.base_watts for n in nodes]),
-            psu_rated_w=col([_PSU_SIZING_FACTOR * n.nominal_max_watts for n in nodes]),
+            psu_rated_w=col([psu_rated_watts(n) for n in nodes]),
+            # The power envelope, named as repro.power.node_power.dc_watts
+            # takes it.
+            **{name: col([e[name] for e in envelopes]) for name in envelopes[0]},
         )
 
     def take(self, start: int, stop: int) -> "FleetColumns":

@@ -1,6 +1,6 @@
 """Cross-system batched evaluation of the full-machine benchmark suite.
 
-Two paths produce identical numbers (within float associativity):
+Two paths produce bitwise-identical numbers:
 
 * :func:`evaluate_system` — the scalar **oracle**: one system at a time,
   through the very model objects the simulator compiles
@@ -8,22 +8,28 @@ Two paths produce identical numbers (within float associativity):
   :class:`~repro.perfmodels.stream.StreamModel`,
   :class:`~repro.perfmodels.iozone.IOzoneModel`,
   :class:`~repro.power.node_power.NodePowerModel`);
-* :func:`evaluate_fleet` with ``path="batched"`` — the same formulas
-  vectorized over :class:`~repro.fleet.columns.FleetColumns`, one NumPy
-  pass per benchmark for the whole fleet.
+* :func:`evaluate_fleet` with ``path="batched"`` — the same physics over
+  :class:`~repro.fleet.columns.FleetColumns`, one NumPy pass per benchmark
+  for the whole fleet.
 
-This mirrors the ``integration="reference"`` / ``engine="reference"``
-pattern of the sim layer: the slow scalar path is the semantic definition;
-the fast path is pinned to it by the hypothesis equivalence suite.
+There is one physics.  Each formula is a module-level function over plain
+numbers or arrays, in the module that owns its model
+(:mod:`repro.perfmodels.hpl`, :mod:`~repro.perfmodels.stream`,
+:mod:`~repro.perfmodels.iozone`, :mod:`repro.power.components`,
+:mod:`~repro.power.node_power`, :mod:`~repro.power.psu`).  The model
+classes validate and call those functions; the batched path packs columns
+and calls them too, with the model and benchmark classes' own defaults.
+This module adds only what both of its paths share: the node utilization
+of a fully packed run and the time-weighted mean over its phases.
 
 Why an *analytic* path is exact here: a full-machine fleet job packs every
 node identically (ranks = total cores, breadth-first), runs rank-uniform
 programs, and hits no barrier waits — so each benchmark's node utilization
 is piecewise constant and the simulator's ground-truth energy integral
 collapses to ``sum(wall_watts(phase) * duration) / makespan`` per node.
-The batched path evaluates exactly that, skipping per-rank program
-objects, the event sweep, and the metering noise (it reports *true* model
-power; the campaign path reports *metered* power).
+Both paths evaluate exactly that, skipping per-rank program objects, the
+event sweep, and the metering noise (they report *true* model power; the
+campaign path reports *metered* power).
 
 Content-keyed memoization: per benchmark, only the columns that enter its
 score form the content key; systems sharing a key (grid sweeps, repeated
@@ -32,27 +38,25 @@ presets, duplicated era draws) are computed once and scattered back.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..benchmarks.hpl import (
-    _HPL_COMM_INTENSITY,
-    _HPL_COMPUTE_INTENSITY,
-    _HPL_MEMORY_PER_RANK,
-    _HPL_NIC_UTIL,
-)
-from ..benchmarks.iozone import _IOZONE_INTENSITY, _IOZONE_MEMORY
+from ..benchmarks.hpl import HPLBenchmark
+from ..benchmarks.iozone import IOzoneBenchmark
+from ..benchmarks.stream import StreamBenchmark
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import FleetError
 from ..experiments.config import PAPER_CONFIG, ExperimentConfig
-from ..perfmodels.hpl import HPLModel
+from ..perfmodels import hpl, iozone, stream
+from ..perfmodels.hpl import HPLModel, HPLPrediction
 from ..perfmodels.iozone import IOzoneModel
-from ..perfmodels.stream import StreamModel
-from ..power.components import NodeUtilization
-from ..power.node_power import NodePowerModel
-from ..power.psu import DEFAULT_EFFICIENCY_CURVE
+from ..perfmodels.stream import StreamModel, StreamPrediction
+from ..power.components import NodeUtilization, NodeUtilizationArray
+from ..power.node_power import NodePowerModel, dc_watts
+from ..power.psu import PSUModel, curve_points, wall_watts
 from .columns import FleetColumns, require_batchable
 
 __all__ = [
@@ -69,18 +73,12 @@ FLEET_BENCHMARKS: Tuple[str, ...] = ("HPL", "STREAM", "IOzone")
 #: Evaluation paths (mirrors the sim layer's engine/integration switches).
 _PATHS = ("batched", "reference")
 
-# Constants mirrored from the scalar stack (single source where importable).
-_CPU_AWAKE_FLOOR = 0.45  # NodePowerModel.cpu_awake_floor default
-_TRIAD_BYTES_PER_ELEMENT = 3 * 8
-_STREAM_ARRAY_ELEMENTS = 20_000_000
-_HPL_BYTES_PER_ELEMENT = 8
-_HPL_BLOCK_SIZE = 224  # HPLModel.block_size default
-_HPL_DGEMM_EFFICIENCY = 0.85  # HPLModel.dgemm_efficiency default
-_IOZONE_FS_EFFICIENCY = 0.92  # IOzoneModel.filesystem_efficiency default
-_IOZONE_CACHE_BW = 2.0e9  # IOzoneModel.cache_bandwidth default
-
-_PSU_LOADS = np.array([p[0] for p in DEFAULT_EFFICIENCY_CURVE], dtype=float)
-_PSU_EFFS = np.array([p[1] for p in DEFAULT_EFFICIENCY_CURVE], dtype=float)
+#: FleetColumns fields holding the node power envelope, named as
+#: :func:`~repro.power.node_power.dc_watts` takes them.
+_ENVELOPE = (
+    "base_watts", "sockets", "cpu_idle_w", "cpu_tdp_w", "mem_idle_w", "mem_active_w",
+    "storage_idle_w", "storage_active_w", "nic_idle_w", "nic_active_w",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +90,9 @@ class FleetScores:
     power_w: np.ndarray
     energy_j: np.ndarray
     efficiency: np.ndarray  # EE = performance / power (Eq. 2)
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(FleetScores))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,42 +122,94 @@ class FleetEvaluation:
     def system(self, i: int) -> Dict[str, Dict[str, float]]:
         """All of system ``i``'s numbers as plain floats (reports, tests)."""
         return {
-            b: {
-                "performance": float(s.performance[i]),
-                "time_s": float(s.time_s[i]),
-                "power_w": float(s.power_w[i]),
-                "energy_j": float(s.energy_j[i]),
-                "efficiency": float(s.efficiency[i]),
-            }
+            b: {field: float(getattr(s, field)[i]) for field in _FIELDS}
             for b, s in self.scores.items()
         }
 
 
 # ----------------------------------------------------------------------
-# Scalar oracle
+# Shared by both paths: full-pack node utilizations and phase weighting
 # ----------------------------------------------------------------------
 
-def _hpl_model(spec: ClusterSpec, config: ExperimentConfig, reference: bool) -> HPLModel:
+def _hpl_phases(k):
+    """Node utilization of HPL's compute and comm phases, ``k`` ranks a node."""
+    bench = HPLBenchmark
+    compute = dict(
+        cpu_active_fraction=1.0,
+        cpu_intensity=bench.compute_intensity,
+        memory=np.minimum(1.0, k * bench.memory_per_rank),
+    )
+    comm = dict(
+        cpu_active_fraction=1.0,
+        cpu_intensity=bench.comm_intensity,
+        nic=np.minimum(1.0, k * bench.nic_utilization),
+    )
+    return compute, comm
+
+
+def _stream_phase(k, prediction, node_sustained_bw, intensity):
+    """Node utilization of ``k`` Triad ranks (the benchmark's memory share)."""
+    share = np.minimum(1.0, prediction.per_rank_bandwidth / node_sustained_bw)
+    return dict(
+        cpu_active_fraction=1.0, cpu_intensity=intensity, memory=np.minimum(1.0, k * share)
+    )
+
+
+def _iozone_phase(k):
+    """Node utilization of one IOzone writer on a ``k``-core node."""
+    return dict(
+        cpu_active_fraction=np.minimum(1.0, 1.0 / k),
+        cpu_intensity=IOzoneBenchmark.cpu_intensity,
+        memory=IOzoneBenchmark.memory_share,
+        storage=1.0,
+    )
+
+
+def _hpl_node_watts(w_compute, w_comm, prediction):
+    """Time-weighted node watts over an HPL run's compute and comm phases."""
+    return (
+        w_compute * prediction.compute_time_s + w_comm * prediction.comm_time_s
+    ) / prediction.total_time_s
+
+
+def _scores(performance, time_s, node_watts, num_nodes) -> Dict[str, object]:
+    power_w = num_nodes * node_watts
+    return dict(
+        performance=performance,
+        time_s=time_s,
+        power_w=power_w,
+        energy_j=power_w * time_s,
+        efficiency=performance / power_w,
+    )
+
+
+def _hpl_knobs(config: ExperimentConfig, reference: bool) -> Dict[str, float]:
+    """HPLModel knobs: defaults for reference runs, else the config's."""
     if reference:
         # build_suite(reference=True): capability sizing, default model knobs.
-        return HPLModel(cluster=spec)
-    return HPLModel(
-        cluster=spec,
+        return dict(
+            comm_volume_factor=HPLModel.comm_volume_factor,
+            contention_threshold=HPLModel.contention_threshold,
+            contention_slope=HPLModel.contention_slope,
+        )
+    return dict(
         comm_volume_factor=config.hpl_comm_volume_factor,
         contention_threshold=config.hpl_contention_threshold,
         contention_slope=config.hpl_contention_slope,
     )
 
 
-def _pack_scores(performance: float, time_s: float, power_w: float) -> Dict[str, float]:
-    return {
-        "performance": performance,
-        "time_s": time_s,
-        "power_w": power_w,
-        "energy_j": power_w * time_s,
-        "efficiency": performance / power_w,
-    }
+def _check_problem_size(config: ExperimentConfig) -> None:
+    if config.hpl_problem_size < HPLModel.block_size:
+        raise FleetError(
+            f"hpl_problem_size {config.hpl_problem_size} below block size "
+            f"{HPLModel.block_size}"
+        )
 
+
+# ----------------------------------------------------------------------
+# Scalar oracle
+# ----------------------------------------------------------------------
 
 def evaluate_system(
     spec: ClusterSpec,
@@ -181,119 +234,62 @@ def evaluate_system(
     k = node.cores  # ranks per node at full pack
     ranks = spec.total_cores
 
+    def watts(phase) -> float:
+        return power.wall_power(NodeUtilization(**phase))
+
     # --- HPL ----------------------------------------------------------
-    model = _hpl_model(spec, config, reference)
+    model = HPLModel(cluster=spec, **_hpl_knobs(config, reference))
     if reference:
         n = model.problem_size_from_memory(
             memory_fraction=config.hpl_reference_memory_fraction
         )
     else:
+        _check_problem_size(config)
         n = config.hpl_problem_size
-        if n < model.block_size:
-            raise FleetError(
-                f"hpl_problem_size {n} below block size {model.block_size}"
-            )
     pred = model.predict(n, ranks, ranks_per_node=k)
-    w_compute = power.wall_power(
-        NodeUtilization(
-            cpu_active_fraction=1.0,
-            cpu_intensity=_HPL_COMPUTE_INTENSITY,
-            memory=min(1.0, k * _HPL_MEMORY_PER_RANK),
-        )
-    )
-    w_comm = 0.0
-    if pred.comm_time_s > 0:
-        w_comm = power.wall_power(
-            NodeUtilization(
-                cpu_active_fraction=1.0,
-                cpu_intensity=_HPL_COMM_INTENSITY,
-                nic=min(1.0, k * _HPL_NIC_UTIL),
-            )
-        )
-    node_mean = (
-        w_compute * pred.compute_time_s + w_comm * pred.comm_time_s
-    ) / pred.total_time_s
-    hpl = _pack_scores(
-        pred.performance_flops, pred.total_time_s, spec.num_nodes * node_mean
-    )
+    compute, comm = _hpl_phases(k)
+    node_watts = _hpl_node_watts(watts(compute), watts(comm), pred)
+    hpl_scores = _scores(pred.performance_flops, pred.total_time_s, node_watts, spec.num_nodes)
 
     # --- STREAM -------------------------------------------------------
-    stream = StreamModel(cluster=spec)
-    iterations = stream.iterations_for_time(
-        config.stream_target_seconds, ranks, ranks_per_node=k
+    stream_model = StreamModel(cluster=spec)
+    elements = StreamBenchmark.array_elements
+    iterations = stream_model.iterations_for_time(
+        config.stream_target_seconds, ranks, array_elements=elements, ranks_per_node=k
     )
-    spred = stream.predict(ranks, iterations=iterations, ranks_per_node=k)
-    per_rank_fraction = min(
-        1.0, spred.per_rank_bandwidth / node.sustained_memory_bandwidth
+    spred = stream_model.predict(
+        ranks, array_elements=elements, iterations=iterations, ranks_per_node=k
     )
-    w_stream = power.wall_power(
-        NodeUtilization(
-            cpu_active_fraction=1.0,
-            cpu_intensity=config.stream_intensity,
-            memory=min(1.0, k * per_rank_fraction),
-        )
-    )
-    stream_scores = _pack_scores(
-        spred.aggregate_bandwidth, spred.time_s, spec.num_nodes * w_stream
-    )
+    phase = _stream_phase(k, spred, node.sustained_memory_bandwidth, config.stream_intensity)
+    stream_scores = _scores(spred.aggregate_bandwidth, spred.time_s, watts(phase), spec.num_nodes)
 
     # --- IOzone (one writer per node, all nodes) ----------------------
-    iozone = IOzoneModel(cluster=spec)
-    file_bytes = iozone.file_size_for_time(config.iozone_target_seconds)
-    ipred = iozone.predict(spec.num_nodes, file_bytes=file_bytes)
-    w_iozone = power.wall_power(
-        NodeUtilization(
-            cpu_active_fraction=min(1.0, 1.0 / k),
-            cpu_intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
-            storage=1.0,
-        )
-    )
-    iozone_scores = _pack_scores(
-        ipred.aggregate_bandwidth, ipred.time_s, spec.num_nodes * w_iozone
+    iozone_model = IOzoneModel(cluster=spec)
+    file_bytes = iozone_model.file_size_for_time(config.iozone_target_seconds)
+    ipred = iozone_model.predict(spec.num_nodes, file_bytes=file_bytes)
+    iozone_scores = _scores(
+        ipred.aggregate_bandwidth, ipred.time_s, watts(_iozone_phase(k)), spec.num_nodes
     )
 
-    return {"HPL": hpl, "STREAM": stream_scores, "IOzone": iozone_scores}
+    return {"HPL": hpl_scores, "STREAM": stream_scores, "IOzone": iozone_scores}
 
 
 # ----------------------------------------------------------------------
-# Batched path
+# Batched path: packing plus calls into the model functions
 # ----------------------------------------------------------------------
 
-def _wall_watts(
-    cols: FleetColumns,
-    idx: np.ndarray,
-    *,
-    active,
-    intensity,
-    memory,
-    storage,
-    nic,
-) -> np.ndarray:
-    """Vectorized NodePowerModel.wall_power over systems ``idx``.
-
-    Operation-for-operation the scalar component formulas, evaluated on
-    spec columns; utilization operands may be scalars or per-system arrays.
-    """
-    dynamic_range = cols.cpu_tdp_w[idx] - cols.cpu_idle_w[idx]
-    per_core_load = _CPU_AWAKE_FLOOR + (1.0 - _CPU_AWAKE_FLOOR) * intensity
-    cpu = cols.sockets[idx] * (
-        cols.cpu_idle_w[idx] + dynamic_range * active * per_core_load
+def _node_watts(cols: FleetColumns, idx: np.ndarray, phase) -> np.ndarray:
+    """NodePowerModel.wall_power of rows ``idx`` at a full-pack utilization."""
+    util = dataclasses.replace(
+        NodeUtilizationArray.idle(idx.size),
+        **{name: np.broadcast_to(value, idx.shape) for name, value in phase.items()},
     )
-    mem = cols.sockets[idx] * (
-        cols.mem_idle_w[idx]
-        + (cols.mem_active_w[idx] - cols.mem_idle_w[idx]) * memory
+    dc = dc_watts(
+        util,
+        cpu_awake_floor=NodePowerModel.cpu_awake_floor,
+        **{name: getattr(cols, name)[idx] for name in _ENVELOPE},
     )
-    sto = cols.storage_idle_w[idx] + (
-        cols.storage_active_w[idx] - cols.storage_idle_w[idx]
-    ) * storage
-    net = cols.nic_idle_w[idx] + (
-        cols.nic_active_w[idx] - cols.nic_idle_w[idx]
-    ) * nic
-    dc = cols.base_watts[idx] + cpu + mem + sto + net
-    load = np.minimum(dc / cols.psu_rated_w[idx], 1.0)
-    eff = np.interp(load, _PSU_LOADS, _PSU_EFFS)
-    return np.where(dc == 0.0, 0.0, dc / eff)
+    return wall_watts(dc, cols.psu_rated_w[idx], *curve_points(PSUModel.curve))
 
 
 def _memoized(
@@ -306,7 +302,7 @@ def _memoized(
 
     ``key_columns`` are the spec columns a benchmark's score depends on;
     ``compute(idx)`` evaluates representative rows ``idx`` and returns
-    ``(performance, time_s, power_w)`` arrays aligned with ``idx``.
+    ``(performance, time_s, node_watts)`` arrays aligned with ``idx``.
     """
     everyone = np.arange(n)
     if not memoize:
@@ -318,206 +314,110 @@ def _memoized(
     inverse = inverse.reshape(-1)  # numpy 2.x returns the keyed shape
     if representatives.size == n:
         return compute(everyone), n
-    perf, time_s, power = compute(representatives)
-    return (perf[inverse], time_s[inverse], power[inverse]), int(representatives.size)
+    results = compute(representatives)
+    return tuple(r[inverse] for r in results), int(representatives.size)
 
 
 def _power_key(cols: FleetColumns) -> List[np.ndarray]:
     """Columns every benchmark's power depends on."""
-    return [
-        cols.sockets,
-        cols.cpu_tdp_w,
-        cols.cpu_idle_w,
-        cols.mem_idle_w,
-        cols.mem_active_w,
-        cols.storage_idle_w,
-        cols.storage_active_w,
-        cols.nic_idle_w,
-        cols.nic_active_w,
-        cols.base_watts,
-        cols.psu_rated_w,
-    ]
+    return [getattr(cols, name) for name in _ENVELOPE] + [cols.psu_rated_w]
 
 
-def _hpl_batched(
-    cols: FleetColumns,
-    config: ExperimentConfig,
-    reference: bool,
-    memoize: bool,
-):
-    n_systems = len(cols)
+def _hpl_batched(cols: FleetColumns, config: ExperimentConfig, reference: bool, memoize: bool):
     key = _power_key(cols) + [
-        cols.num_nodes,
-        cols.cpu_cores,
-        cols.clock_hz,
-        cols.flops_per_cycle,
-        cols.nic_bandwidth,
-        cols.nic_latency_s,
+        cols.num_nodes, cols.cpu_cores, cols.clock_hz, cols.flops_per_cycle,
+        cols.nic_bandwidth, cols.nic_latency_s,
     ]
     if reference:
         key.append(cols.mem_capacity_bytes)
-        dgemm = _HPL_DGEMM_EFFICIENCY
-        threshold, slope, volume_factor = (
-            HPLModel.contention_threshold,
-            HPLModel.contention_slope,
-            HPLModel.comm_volume_factor,
-        )
     else:
-        if config.hpl_problem_size < _HPL_BLOCK_SIZE:
-            raise FleetError(
-                f"hpl_problem_size {config.hpl_problem_size} below block "
-                f"size {_HPL_BLOCK_SIZE}"
-            )
-        dgemm = _HPL_DGEMM_EFFICIENCY
-        threshold = config.hpl_contention_threshold
-        slope = config.hpl_contention_slope
-        volume_factor = config.hpl_comm_volume_factor
+        _check_problem_size(config)
+    knobs = _hpl_knobs(config, reference)
+    block = HPLModel.block_size
 
     def compute(idx: np.ndarray):
         k = cols.node_cores[idx]
         ranks = cols.total_cores[idx]
         if reference:
-            total_bytes = (
-                config.hpl_reference_memory_fraction
-                * cols.num_nodes[idx]
-                * cols.node_memory_bytes[idx]
+            n = hpl.capability_problem_size(
+                config.hpl_reference_memory_fraction,
+                cols.num_nodes[idx],
+                cols.node_memory_bytes[idx],
+                block,
             )
-            n = np.floor(np.sqrt(total_bytes / _HPL_BYTES_PER_ELEMENT))
-            n = n - np.mod(n, _HPL_BLOCK_SIZE)
-            if np.any(n < _HPL_BLOCK_SIZE):
+            if np.any(n < block):
                 raise FleetError("memory too small for a single HPL block")
         else:
             n = np.full(idx.size, float(config.hpl_problem_size))
-        flops = (2.0 / 3.0) * n**3 + 2.0 * n**2
-        core_peak = cols.clock_hz[idx] * cols.flops_per_cycle[idx]
-        excess = np.maximum(0.0, k - threshold)
-        slowdown = 1.0 + slope * excess / k
-        compute_rate = ranks * core_peak * dgemm / slowdown
-        compute_t = flops / compute_rate
+        flops = hpl.flop_count(n)
+        slowdown = hpl.contention_slowdown(
+            k, k, knobs["contention_threshold"], knobs["contention_slope"]
+        )
+        volume, latency = hpl.comm_times(
+            n, ranks, cols.nic_bandwidth[idx], cols.nic_latency_s[idx], block,
+            knobs["comm_volume_factor"],
+        )
+        pred = HPLPrediction(
+            problem_size=n,
+            num_ranks=ranks,
+            flops=flops,
+            compute_time_s=hpl.compute_time(
+                flops, ranks, cols.peak_flops_per_core[idx], HPLModel.dgemm_efficiency, slowdown
+            ),
+            comm_volume_time_s=volume,
+            comm_latency_time_s=latency,
+        )
+        compute_phase, comm_phase = _hpl_phases(k)
+        node_watts = _hpl_node_watts(
+            _node_watts(cols, idx, compute_phase), _node_watts(cols, idx, comm_phase), pred
+        )
+        return pred.performance_flops, pred.total_time_s, node_watts
 
-        multi = ranks > 1
-        safe_ranks = np.where(multi, ranks, 2.0)  # keep log2/sqrt well-defined
-        log_p = np.log2(safe_ranks)
-        volume_bytes = (
-            volume_factor * _HPL_BYTES_PER_ELEMENT * n**2 * log_p
-            / np.sqrt(safe_ranks)
-        )
-        comm_volume_t = np.where(multi, volume_bytes / cols.nic_bandwidth[idx], 0.0)
-        steps = np.maximum(1.0, np.floor(n / _HPL_BLOCK_SIZE))
-        comm_latency_t = np.where(
-            multi, 3.0 * steps * log_p * cols.nic_latency_s[idx], 0.0
-        )
-        comm_t = comm_volume_t + comm_latency_t
-        total_t = compute_t + comm_t
-        perf = flops / total_t
-
-        w_compute = _wall_watts(
-            cols,
-            idx,
-            active=1.0,
-            intensity=_HPL_COMPUTE_INTENSITY,
-            memory=np.minimum(1.0, k * _HPL_MEMORY_PER_RANK),
-            storage=0.0,
-            nic=0.0,
-        )
-        w_comm = _wall_watts(
-            cols,
-            idx,
-            active=1.0,
-            intensity=_HPL_COMM_INTENSITY,
-            memory=0.0,
-            storage=0.0,
-            nic=np.minimum(1.0, k * _HPL_NIC_UTIL),
-        )
-        node_mean = (w_compute * compute_t + w_comm * comm_t) / total_t
-        return perf, total_t, cols.num_nodes[idx] * node_mean
-
-    return _memoized(key, compute, n_systems, memoize)
+    return _memoized(key, compute, len(cols), memoize)
 
 
 def _stream_batched(cols: FleetColumns, config: ExperimentConfig, memoize: bool):
-    n_systems = len(cols)
     key = _power_key(cols) + [
-        cols.num_nodes,
-        cols.cpu_cores,
-        cols.mem_sustained_bw,
-        cols.mem_cores_to_saturate,
+        cols.num_nodes, cols.cpu_cores, cols.mem_sustained_bw, cols.mem_cores_to_saturate,
     ]
 
     def compute(idx: np.ndarray):
         k = cols.node_cores[idx]
         ranks = cols.total_cores[idx]
-        per_core = cols.mem_sustained_bw[idx] / cols.mem_cores_to_saturate[idx]
-        sockets = cols.sockets[idx]
-        # Round-robin over sockets: `extra` sockets carry base+1 ranks.
-        base = np.floor(k / sockets)
-        extra = k - base * sockets
-        socket_cap = cols.mem_sustained_bw[idx]
-        node_bw = extra * np.minimum((base + 1.0) * per_core, socket_cap) + (
-            sockets - extra
-        ) * np.minimum(base * per_core, socket_cap)
-        per_rank_bw = node_bw / k
-        one_iter_s = (1 * _STREAM_ARRAY_ELEMENTS * _TRIAD_BYTES_PER_ELEMENT) / per_rank_bw
-        iterations = np.maximum(
-            1.0, np.round(config.stream_target_seconds / one_iter_s)
+        elements = StreamBenchmark.array_elements
+        memory = (cols.sockets[idx], cols.mem_sustained_bw[idx], cols.mem_cores_to_saturate[idx])
+        one_iteration_s, _ = stream.triad_run(ranks, k, 1, elements, *memory)
+        iterations = stream.iterations_for_time(config.stream_target_seconds, one_iteration_s)
+        time_s, aggregate = stream.triad_run(ranks, k, iterations, elements, *memory)
+        pred = StreamPrediction(
+            num_ranks=ranks,
+            array_elements=elements,
+            iterations=iterations,
+            time_s=time_s,
+            aggregate_bandwidth=aggregate,
         )
-        bytes_per_rank = iterations * _STREAM_ARRAY_ELEMENTS * _TRIAD_BYTES_PER_ELEMENT
-        time_s = bytes_per_rank / per_rank_bw
-        perf = per_rank_bw * ranks
+        phase = _stream_phase(k, pred, cols.node_sustained_bw[idx], config.stream_intensity)
+        return aggregate, time_s, _node_watts(cols, idx, phase)
 
-        node_sustained = cols.node_sustained_bw[idx]
-        per_rank_fraction = np.minimum(1.0, per_rank_bw / node_sustained)
-        w = _wall_watts(
-            cols,
-            idx,
-            active=1.0,
-            intensity=config.stream_intensity,
-            memory=np.minimum(1.0, k * per_rank_fraction),
-            storage=0.0,
-            nic=0.0,
-        )
-        return perf, time_s, cols.num_nodes[idx] * w
-
-    return _memoized(key, compute, n_systems, memoize)
+    return _memoized(key, compute, len(cols), memoize)
 
 
 def _iozone_batched(cols: FleetColumns, config: ExperimentConfig, memoize: bool):
-    n_systems = len(cols)
     key = _power_key(cols) + [
-        cols.num_nodes,
-        cols.cpu_cores,
-        cols.mem_capacity_bytes,
-        cols.storage_write_bw,
+        cols.num_nodes, cols.cpu_cores, cols.mem_capacity_bytes, cols.storage_write_bw,
     ]
 
     def compute(idx: np.ndarray):
-        window = 0.25 * cols.node_memory_bytes[idx]
-        device_rate = cols.storage_write_bw[idx] * _IOZONE_FS_EFFICIENCY
-        window_time = window / _IOZONE_CACHE_BW
-        target = config.iozone_target_seconds
-        file_bytes = np.where(
-            target <= window_time,
-            np.maximum(1.0, target * _IOZONE_CACHE_BW),
-            window + (target - window_time) * device_rate,
+        cache_bw = IOzoneModel.cache_bandwidth
+        window = iozone.default_cache_window(cols.node_memory_bytes[idx])
+        rate = iozone.device_rate(cols.storage_write_bw[idx], IOzoneModel.filesystem_efficiency)
+        file_bytes = iozone.file_size_for_time(config.iozone_target_seconds, window, cache_bw, rate)
+        time_s, _, aggregate = iozone.write_run(
+            cols.num_nodes[idx], file_bytes, window, cache_bw, rate
         )
-        capped_window = np.minimum(window, file_bytes)
-        device_bytes = file_bytes - capped_window
-        time_s = capped_window / _IOZONE_CACHE_BW + device_bytes / device_rate
-        per_node = np.minimum(file_bytes / time_s, _IOZONE_CACHE_BW)
-        perf = per_node * cols.num_nodes[idx]
+        return aggregate, time_s, _node_watts(cols, idx, _iozone_phase(cols.node_cores[idx]))
 
-        w = _wall_watts(
-            cols,
-            idx,
-            active=np.minimum(1.0, 1.0 / cols.node_cores[idx]),
-            intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
-            storage=1.0,
-            nic=0.0,
-        )
-        return perf, time_s, cols.num_nodes[idx] * w
-
-    return _memoized(key, compute, n_systems, memoize)
+    return _memoized(key, compute, len(cols), memoize)
 
 
 def evaluate_fleet(
@@ -547,29 +447,22 @@ def evaluate_fleet(
     """
     if path not in _PATHS:
         raise FleetError(f"path must be one of {_PATHS}, got {path!r}")
-
     if isinstance(fleet, FleetColumns):
-        cols: Optional[FleetColumns] = fleet
-        specs: Optional[Sequence[ClusterSpec]] = None
+        if path == "reference":
+            raise FleetError(
+                "the reference path scores ClusterSpec sequences, not pre-packed columns"
+            )
+        cols, specs = fleet, None
     else:
         specs = list(fleet)
         if not specs:
             raise FleetError("cannot evaluate an empty fleet")
-        cols = None
 
     if path == "reference":
-        if specs is None:
-            raise FleetError(
-                "the reference path scores ClusterSpec sequences, not "
-                "pre-packed columns"
-            )
         rows = [evaluate_system(spec, config, reference=reference) for spec in specs]
         scores = {
             b: FleetScores(
-                **{
-                    field: np.array([row[b][field] for row in rows], dtype=float)
-                    for field in ("performance", "time_s", "power_w", "energy_j", "efficiency")
-                }
+                **{field: np.array([row[b][field] for row in rows]) for field in _FIELDS}
             )
             for b in FLEET_BENCHMARKS
         }
@@ -580,25 +473,18 @@ def evaluate_fleet(
             path=path,
         )
 
-    if cols is None:
+    if specs is not None:
         cols = FleetColumns.pack(specs)
     results = {
         "HPL": _hpl_batched(cols, config, reference, memoize),
         "STREAM": _stream_batched(cols, config, memoize),
         "IOzone": _iozone_batched(cols, config, memoize),
     }
-    scores = {}
-    memo_unique = {}
-    for b, ((perf, time_s, power), unique) in results.items():
-        energy = power * time_s
-        scores[b] = FleetScores(
-            performance=perf,
-            time_s=time_s,
-            power_w=power,
-            energy_j=energy,
-            efficiency=perf / power,
-        )
-        memo_unique[b] = unique
     return FleetEvaluation(
-        names=cols.names, scores=scores, memo_unique=memo_unique, path=path
+        names=cols.names,
+        scores={
+            b: FleetScores(**_scores(*results[b][0], cols.num_nodes)) for b in FLEET_BENCHMARKS
+        },
+        memo_unique={b: results[b][1] for b in FLEET_BENCHMARKS},
+        path=path,
     )

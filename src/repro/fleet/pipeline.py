@@ -260,8 +260,6 @@ class FleetRankingPipeline:
         pre-batched behaviour; meter noise included).
     chunk_size:
         Systems per vectorized evaluation chunk (bounds peak memory).
-    memoize:
-        Content-keyed sub-result sharing on the batched leg.
     workers / shards / cache_dir / retries / keep_going:
         Campaign-leg execution policy; ``shards=0`` means one shard per
         worker.  All idle when everything batches.
@@ -286,7 +284,6 @@ class FleetRankingPipeline:
         path: str = "batched",
         full_sim: bool = False,
         chunk_size: int = 1024,
-        memoize: bool = True,
         workers: int = 1,
         shards: int = 0,
         cache_dir: Optional[Union[str, Path]] = None,
@@ -316,7 +313,6 @@ class FleetRankingPipeline:
         self.path = path
         self.full_sim = full_sim
         self.chunk_size = chunk_size
-        self.memoize = memoize
         self.workers = workers
         self.shards = shards
         self.cache_dir = cache_dir
@@ -438,7 +434,6 @@ class FleetRankingPipeline:
                     [spec for _, spec in chunk],
                     self.config,
                     path=self.path,
-                    memoize=self.memoize,
                 )
                 for b in FLEET_BENCHMARKS:
                     scores = evaluation.scores[b]

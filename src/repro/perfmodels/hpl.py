@@ -27,19 +27,83 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
 from ..validation import check_fraction, check_positive, check_positive_int
 
-__all__ = ["HPLModel", "HPLPrediction"]
+__all__ = [
+    "HPLModel", "HPLPrediction", "capability_problem_size", "comm_times",
+    "compute_time", "contention_slowdown", "flop_count",
+]
 
 #: Bytes per double-precision matrix element.
 _BYTES_PER_ELEMENT = 8
 
 
+# Formulas over plain numbers or NumPy arrays (one row per system), with
+# the same IEEE operations either way.  HPLModel validates and calls them.
+
+def _log2(x):
+    """``math.log2``, elementwise over arrays.
+
+    ``np.log2`` differs from ``math.log2`` in the last bit for some
+    integers, so arrays go through ``math.log2`` too.
+    """
+    if np.ndim(x) == 0:
+        return math.log2(x)
+    return np.array([math.log2(v) for v in np.asarray(x).tolist()])
+
+
+def flop_count(n):
+    """Official HPL flop count: ``2/3 n^3 + 2 n^2``.
+
+    Products rather than powers: ``n * n`` is exact for any problem size a
+    machine can hold, so float arrays round like Python ints do.
+    """
+    return (2.0 / 3.0) * (n * n * n) + 2.0 * (n * n)
+
+
+def capability_problem_size(memory_fraction, num_nodes, node_memory_bytes, block_size):
+    """Largest multiple of ``block_size`` whose matrix fills the DRAM share."""
+    total_bytes = memory_fraction * num_nodes * node_memory_bytes
+    n = np.floor(np.sqrt(total_bytes / _BYTES_PER_ELEMENT))
+    return n - n % block_size
+
+
+def contention_slowdown(ranks_per_node, cores, threshold, slope):
+    """Compute-kernel slowdown factor (>= 1) of ``ranks_per_node`` packed ranks."""
+    return 1.0 + slope * np.maximum(0, ranks_per_node - threshold) / cores
+
+
+def compute_time(flops, num_ranks, core_peak, dgemm_efficiency, slowdown, accelerator_rate=0.0):
+    """Seconds of DGEMM-bound update work on ``num_ranks`` ranks."""
+    return flops / (num_ranks * core_peak * dgemm_efficiency / slowdown + accelerator_rate)
+
+
+def comm_times(n, num_ranks, bandwidth, latency_s, block_size, volume_factor):
+    """``(volume, latency)`` communication seconds; both 0 for one rank.
+
+    Broadcast volume through each rank's link: the column of panels and
+    the row of U updates sum to ~N^2 elements / sqrt(p) per rank, each
+    forwarded ~log p times by tree broadcasts.  Each of the N/nb steps pays
+    O(log p) latencies for panel bcast, pivot exchange, and U bcast
+    (factor 3).
+    """
+    log_p = _log2(num_ranks)
+    volume_bytes = volume_factor * _BYTES_PER_ELEMENT * (n * n) * log_p / np.sqrt(num_ranks)
+    steps = np.maximum(1, n // block_size)
+    return volume_bytes / bandwidth, 3.0 * steps * log_p * latency_s
+
+
 @dataclass(frozen=True)
 class HPLPrediction:
-    """Predicted timing and performance of one HPL run."""
+    """Predicted timing and performance of one HPL run.
+
+    The fleet ranker fills the fields with arrays (one row per system);
+    the properties compute elementwise either way.
+    """
 
     problem_size: int
     num_ranks: int
@@ -131,9 +195,9 @@ class HPLModel:
         n_nodes = nodes or self.cluster.num_nodes
         if not 1 <= n_nodes <= self.cluster.num_nodes:
             raise BenchmarkError(f"nodes must be in [1, {self.cluster.num_nodes}]")
-        total_bytes = memory_fraction * n_nodes * self.cluster.node.memory_bytes
-        n = int(math.sqrt(total_bytes / _BYTES_PER_ELEMENT))
-        n -= n % self.block_size
+        n = int(capability_problem_size(
+            memory_fraction, n_nodes, self.cluster.node.memory_bytes, self.block_size
+        ))
         if n < self.block_size:
             raise BenchmarkError("memory too small for a single block")
         return n
@@ -142,7 +206,7 @@ class HPLModel:
     def flop_count(n: int) -> float:
         """Official HPL flop count: ``2/3 n^3 + 2 n^2``."""
         check_positive_int(n, "n", exc=BenchmarkError)
-        return (2.0 / 3.0) * n**3 + 2.0 * n**2
+        return flop_count(n)
 
     # ------------------------------------------------------------------
     # Prediction
@@ -153,8 +217,9 @@ class HPLModel:
         cores = self.cluster.node.cores
         if ranks_per_node > cores:
             raise BenchmarkError(f"{ranks_per_node} ranks exceed {cores} cores per node")
-        excess = max(0, ranks_per_node - self.contention_threshold)
-        return 1.0 + self.contention_slope * excess / cores
+        return float(contention_slowdown(
+            ranks_per_node, cores, self.contention_threshold, self.contention_slope
+        ))
 
     def predict(self, problem_size: int, num_ranks: int, *, ranks_per_node: int = 0) -> HPLPrediction:
         """Predict one run of size ``problem_size`` on ``num_ranks`` ranks.
@@ -169,53 +234,29 @@ class HPLModel:
                 f"{num_ranks} ranks exceed cluster capacity {self.cluster.total_cores}"
             )
         k = ranks_per_node or math.ceil(num_ranks / self.cluster.num_nodes)
-        n = problem_size
-        flops = self.flop_count(n)
-        core_peak = self.cluster.node.cpu.peak_flops_per_core
-        slowdown = self.contention_factor(k)
-        compute_rate = num_ranks * core_peak * self.dgemm_efficiency / slowdown
-        if self.use_accelerators and self.cluster.node.accelerators:
+        node = self.cluster.node
+        flops = self.flop_count(problem_size)
+        accelerator_rate = 0.0
+        if self.use_accelerators and node.accelerators:
             nodes_used = math.ceil(num_ranks / k)
-            acc_rate = sum(
-                acc.sustained_hpl_flops for acc in self.cluster.node.accelerators
+            accelerator_rate = nodes_used * sum(
+                acc.sustained_hpl_flops for acc in node.accelerators
             )
-            compute_rate += nodes_used * acc_rate
-        compute = flops / compute_rate
-
-        if num_ranks == 1:
-            return HPLPrediction(
-                problem_size=n,
-                num_ranks=1,
-                flops=flops,
-                compute_time_s=compute,
-                comm_volume_time_s=0.0,
-                comm_latency_time_s=0.0,
-            )
-
-        nic = self.cluster.node.nic
-        log_p = math.log2(num_ranks)
-        # Broadcast volume through each rank's link: the column of panels and
-        # the row of U updates sum to ~N^2 elements / sqrt(p) per rank, each
-        # forwarded ~log p times by tree broadcasts.
-        volume_bytes = (
-            self.comm_volume_factor
-            * _BYTES_PER_ELEMENT
-            * n**2
-            * log_p
-            / math.sqrt(num_ranks)
+        volume, latency = comm_times(
+            problem_size, num_ranks, node.nic.bandwidth, node.nic.latency_s,
+            self.block_size, self.comm_volume_factor,
         )
-        comm_volume = volume_bytes / nic.bandwidth
-        # Each of the N/nb steps pays O(log p) latencies for panel bcast,
-        # pivot exchange, and U bcast (factor 3).
-        steps = max(1, n // self.block_size)
-        comm_latency = 3.0 * steps * log_p * nic.latency_s
+        compute = compute_time(
+            flops, num_ranks, node.cpu.peak_flops_per_core, self.dgemm_efficiency,
+            self.contention_factor(k), accelerator_rate,
+        )
         return HPLPrediction(
-            problem_size=n,
+            problem_size=problem_size,
             num_ranks=num_ranks,
             flops=flops,
             compute_time_s=compute,
-            comm_volume_time_s=comm_volume,
-            comm_latency_time_s=comm_latency,
+            comm_volume_time_s=float(volume),
+            comm_latency_time_s=float(latency),
         )
 
     def problem_size_for_time(
@@ -227,9 +268,8 @@ class HPLModel:
         benchmarking campaigns size their runs.  Bisects on ``N``.
         """
         check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
-        lo, hi = self.block_size, 1
         # exponential search for an upper bound
-        hi = self.block_size
+        lo = hi = self.block_size
         while (
             self.predict(hi, num_ranks, ranks_per_node=ranks_per_node).total_time_s
             < target_seconds

@@ -24,11 +24,55 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
 from ..validation import check_fraction, check_positive, check_positive_int
 
-__all__ = ["IOzoneModel", "IOzonePrediction"]
+__all__ = [
+    "IOzoneModel", "IOzonePrediction", "default_cache_window", "device_rate",
+    "file_size_for_time", "write_run",
+]
+
+
+# Formulas over plain numbers or NumPy arrays (one row per system), with
+# the same IEEE operations either way.  IOzoneModel validates and calls them.
+
+def default_cache_window(node_memory_bytes):
+    """A quarter of node DRAM: a typical dirty-page ceiling."""
+    return 0.25 * node_memory_bytes
+
+
+def device_rate(seq_write_bandwidth, filesystem_efficiency):
+    """Sustained filesystem write bytes/s of one node."""
+    return seq_write_bandwidth * filesystem_efficiency
+
+
+def write_run(num_nodes, file_bytes, window_bytes, cache_bandwidth, device_bytes_per_s):
+    """``(seconds, per-node bytes/s, aggregate bytes/s)`` of a write run.
+
+    The first ``window_bytes`` land in the page cache at
+    ``cache_bandwidth``; the rest go at the device rate.  The blended rate
+    is mathematically within [device rate, cache bandwidth], but the float
+    division can land a few ulps above the cache ceiling (e.g. when the
+    file barely exceeds the absorption window); it is clamped so the model
+    honours its own bound exactly.
+    """
+    window = np.minimum(window_bytes, file_bytes)
+    time_s = window / cache_bandwidth + (file_bytes - window) / device_bytes_per_s
+    per_node = np.minimum(file_bytes / time_s, cache_bandwidth)
+    return time_s, per_node, per_node * num_nodes
+
+
+def file_size_for_time(target_seconds, window_bytes, cache_bandwidth, device_bytes_per_s):
+    """Per-node file size whose write takes ~``target_seconds``."""
+    window_time = window_bytes / cache_bandwidth
+    return np.where(
+        target_seconds <= window_time,
+        np.maximum(1.0, target_seconds * cache_bandwidth),
+        window_bytes + (target_seconds - window_time) * device_bytes_per_s,
+    )
 
 
 @dataclass(frozen=True)
@@ -77,11 +121,13 @@ class IOzoneModel:
         """The absorption window in bytes."""
         if self.cache_window_bytes is not None:
             return self.cache_window_bytes
-        return 0.25 * self.cluster.node.memory_bytes
+        return default_cache_window(self.cluster.node.memory_bytes)
 
     def device_rate(self) -> float:
         """Sustained filesystem write bytes/s of one node."""
-        return self.cluster.node.storage.seq_write_bandwidth * self.filesystem_efficiency
+        return device_rate(
+            self.cluster.node.storage.seq_write_bandwidth, self.filesystem_efficiency
+        )
 
     def predict(self, num_nodes: int, *, file_bytes: float) -> IOzonePrediction:
         """Predict a write of ``file_bytes`` per node on ``num_nodes`` nodes."""
@@ -91,27 +137,24 @@ class IOzoneModel:
                 f"{num_nodes} nodes exceed cluster size {self.cluster.num_nodes}"
             )
         check_positive(file_bytes, "file_bytes", exc=BenchmarkError)
-        window = min(self.effective_cache_window(), file_bytes)
-        device_bytes = file_bytes - window
-        time_s = window / self.cache_bandwidth + device_bytes / self.device_rate()
-        # The blended rate is mathematically within [device_rate, cache_bandwidth],
-        # but the float division can land a few ulps above the cache ceiling
-        # (e.g. when the file barely exceeds the absorption window); clamp so the
-        # model honours its own bound exactly.
-        per_node = min(file_bytes / time_s, self.cache_bandwidth)
+        time_s, per_node, aggregate = map(float, write_run(
+            num_nodes,
+            file_bytes,
+            self.effective_cache_window(),
+            self.cache_bandwidth,
+            self.device_rate(),
+        ))
         return IOzonePrediction(
             num_nodes=num_nodes,
             file_bytes=file_bytes,
             time_s=time_s,
             per_node_bandwidth=per_node,
-            aggregate_bandwidth=per_node * num_nodes,
+            aggregate_bandwidth=aggregate,
         )
 
-    def file_size_for_time(self, target_seconds: float, *, num_nodes: int = 1) -> float:
+    def file_size_for_time(self, target_seconds: float) -> float:
         """Per-node file size whose predicted runtime is ~``target_seconds``."""
         check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
-        window = self.effective_cache_window()
-        window_time = window / self.cache_bandwidth
-        if target_seconds <= window_time:
-            return max(1.0, target_seconds * self.cache_bandwidth)
-        return window + (target_seconds - window_time) * self.device_rate()
+        return float(file_size_for_time(
+            target_seconds, self.effective_cache_window(), self.cache_bandwidth, self.device_rate()
+        ))

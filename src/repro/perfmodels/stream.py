@@ -23,20 +23,67 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
 from ..validation import check_positive, check_positive_int
 
-__all__ = ["StreamModel", "StreamPrediction"]
+__all__ = [
+    "StreamModel", "StreamPrediction", "iterations_for_time", "node_bandwidth",
+    "per_core_bandwidth", "triad_run",
+]
 
 #: Triad traffic per element per iteration: read a, read b, write c.
 #: (STREAM's official accounting ignores the write-allocate fill.)
 _TRIAD_BYTES_PER_ELEMENT = 3 * 8
 
 
+# Formulas over plain numbers or NumPy arrays (one row per system), with
+# the same IEEE operations either way.  StreamModel validates and calls them.
+
+def per_core_bandwidth(socket_bandwidth, cores_to_saturate):
+    """Bytes/s a single streaming core sustains."""
+    return socket_bandwidth / cores_to_saturate
+
+
+def node_bandwidth(ranks_on_node, sockets, socket_bandwidth, cores_to_saturate):
+    """Sustained Triad bytes/s of a node, ranks spread round robin over sockets.
+
+    Sums socket by socket, in socket order, so every socket count rounds
+    exactly as the per-socket loop does; over arrays, sockets a row lacks
+    contribute ``0.0``.
+    """
+    per_core = per_core_bandwidth(socket_bandwidth, cores_to_saturate)
+    base, extra = np.divmod(ranks_on_node, sockets)
+    total = 0.0
+    for socket in range(int(np.max(sockets))):
+        on_socket = base + (socket < extra)
+        total = total + np.minimum(on_socket * per_core, socket_bandwidth) * (socket < sockets)
+    return total
+
+
+def triad_run(
+    num_ranks, ranks_per_node, iterations, array_elements, sockets, socket_bandwidth, cores_to_saturate
+):
+    """``(seconds, aggregate bytes/s)`` of ``iterations`` Triad sweeps per rank."""
+    per_rank = (
+        node_bandwidth(ranks_per_node, sockets, socket_bandwidth, cores_to_saturate)
+        / ranks_per_node
+    )
+    time_s = iterations * array_elements * _TRIAD_BYTES_PER_ELEMENT / per_rank
+    return time_s, per_rank * num_ranks
+
+
+def iterations_for_time(target_seconds, one_iteration_s):
+    """Iteration count (>= 1, rounded half to even) lasting ~``target_seconds``."""
+    return np.maximum(1, np.round(target_seconds / one_iteration_s))
+
+
 @dataclass(frozen=True)
 class StreamPrediction:
-    """Predicted timing and bandwidth of one STREAM run."""
+    """Predicted timing and bandwidth of one STREAM run (fields may be
+    arrays, one row per system, as in :class:`~repro.perfmodels.hpl.HPLPrediction`)."""
 
     num_ranks: int
     array_elements: int
@@ -59,24 +106,22 @@ class StreamModel:
     def per_core_bandwidth(self) -> float:
         """Bytes/s a single streaming core sustains."""
         mem = self.cluster.node.memory
-        return mem.sustained_bandwidth / mem.cores_to_saturate
+        return per_core_bandwidth(mem.sustained_bandwidth, mem.cores_to_saturate)
+
+    def _check_ranks_on_node(self, ranks_on_node: int) -> None:
+        check_positive_int(ranks_on_node, "ranks_on_node", exc=BenchmarkError)
+        cores = self.cluster.node.cores
+        if ranks_on_node > cores:
+            raise BenchmarkError(f"{ranks_on_node} ranks exceed {cores} cores per node")
+
+    def _memory(self):
+        node = self.cluster.node
+        return node.sockets, node.memory.sustained_bandwidth, node.memory.cores_to_saturate
 
     def node_bandwidth(self, ranks_on_node: int) -> float:
         """Sustained Triad bytes/s of one node running ``ranks_on_node`` ranks."""
-        check_positive_int(ranks_on_node, "ranks_on_node", exc=BenchmarkError)
-        node = self.cluster.node
-        if ranks_on_node > node.cores:
-            raise BenchmarkError(
-                f"{ranks_on_node} ranks exceed {node.cores} cores per node"
-            )
-        mem = node.memory
-        per_core = self.per_core_bandwidth()
-        base, extra = divmod(ranks_on_node, node.sockets)
-        total = 0.0
-        for socket in range(node.sockets):
-            on_socket = base + (1 if socket < extra else 0)
-            total += min(on_socket * per_core, mem.sustained_bandwidth)
-        return total
+        self._check_ranks_on_node(ranks_on_node)
+        return float(node_bandwidth(ranks_on_node, *self._memory()))
 
     def predict(
         self,
@@ -102,16 +147,14 @@ class StreamModel:
             )
         k = ranks_per_node or math.ceil(num_ranks / self.cluster.num_nodes)
         k = min(k, num_ranks)
-        node_bw = self.node_bandwidth(k)
-        per_rank_bw = node_bw / k
-        bytes_per_rank = iterations * array_elements * _TRIAD_BYTES_PER_ELEMENT
-        time_s = bytes_per_rank / per_rank_bw
+        self._check_ranks_on_node(k)
+        time_s, aggregate = triad_run(num_ranks, k, iterations, array_elements, *self._memory())
         return StreamPrediction(
             num_ranks=num_ranks,
             array_elements=array_elements,
             iterations=iterations,
-            time_s=time_s,
-            aggregate_bandwidth=per_rank_bw * num_ranks,
+            time_s=float(time_s),
+            aggregate_bandwidth=float(aggregate),
         )
 
     def iterations_for_time(
@@ -126,4 +169,4 @@ class StreamModel:
             iterations=1,
             ranks_per_node=ranks_per_node,
         )
-        return max(1, round(target_seconds / one.time_s))
+        return int(iterations_for_time(target_seconds, one.time_s))

@@ -16,14 +16,16 @@ intensity-proportional remainder — so compute-bound HPL draws close to TDP
 while memory-bound STREAM draws noticeably less at the same core count,
 matching the power gap the paper observes between its benchmarks.
 
-Batched evaluation: every model also exposes ``power_many``, which takes a
-:class:`NodeUtilizationArray` (struct-of-arrays: one ndarray per utilization
-field) and returns watts per timeline slice in one NumPy expression.  The
-formulas are written with the exact same operation order as the scalar
-``power`` methods, so a batched evaluation is bitwise identical to mapping
-the scalar model over the slices — the sweep-line integrator in
-:mod:`repro.sim.executor` relies on this to stay equivalent to its scalar
-reference oracle.
+Scalars or arrays: each formula is written once, as a module-level
+function (:func:`cpu_package_watts`, :func:`linear_watts`) over plain
+numbers or NumPy arrays.  A model's ``power`` method reads its spec and
+calls the function, so ``power`` accepts a :class:`NodeUtilization` or a
+:class:`NodeUtilizationArray` (struct-of-arrays: one ndarray per
+utilization field, one entry per timeline slice) alike.  Elementwise the
+array result is bitwise identical to the scalar one — the sweep-line
+integrator in :mod:`repro.sim.executor` relies on this to stay equivalent
+to its scalar reference oracle, and the fleet ranker
+(:mod:`repro.fleet.evaluate`) calls the same functions over a system axis.
 """
 
 from __future__ import annotations
@@ -42,13 +44,9 @@ from ..exceptions import PowerModelError
 from ..validation import check_fraction
 
 __all__ = [
-    "NodeUtilization",
-    "NodeUtilizationArray",
-    "CPUPowerModel",
-    "MemoryPowerModel",
-    "StoragePowerModel",
-    "NICPowerModel",
-    "AcceleratorPowerModel",
+    "NodeUtilization", "NodeUtilizationArray", "CPUPowerModel", "MemoryPowerModel",
+    "StoragePowerModel", "NICPowerModel", "AcceleratorPowerModel", "cpu_package_watts",
+    "linear_watts",
 ]
 
 
@@ -160,13 +158,15 @@ class NodeUtilizationArray:
         )
 
 
-def _linear(idle_w: float, active_w: float, util):
-    """Linear interpolation between a component's idle and active power.
+def linear_watts(idle_w, active_w, util, count=1):
+    """``count`` components each linear between idle and active power."""
+    return count * (idle_w + (active_w - idle_w) * util)
 
-    ``util`` may be a scalar or an ndarray; the expression is elementwise
-    either way, which keeps the scalar and batched paths bitwise equal.
-    """
-    return idle_w + (active_w - idle_w) * util
+
+def cpu_package_watts(idle_w, tdp_w, sockets, active_fraction, intensity, awake_floor):
+    """``sockets * (idle + (tdp - idle) * active * (floor + (1 - floor) * intensity))``."""
+    per_core_load = awake_floor + (1.0 - awake_floor) * intensity
+    return sockets * (idle_w + (tdp_w - idle_w) * active_fraction * per_core_load)
 
 
 @dataclass(frozen=True)
@@ -188,19 +188,12 @@ class CPUPowerModel:
             raise PowerModelError(f"sockets must be >= 1, got {self.sockets}")
         check_fraction(self.awake_floor, "awake_floor", exc=PowerModelError)
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        dynamic_range = self.spec.tdp_watts - self.spec.idle_watts
-        per_core_load = self.awake_floor + (1.0 - self.awake_floor) * util.cpu_intensity
-        package = self.spec.idle_watts + dynamic_range * util.cpu_active_fraction * per_core_load
-        return self.sockets * package
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice (same operation order as :meth:`power`)."""
-        dynamic_range = self.spec.tdp_watts - self.spec.idle_watts
-        per_core_load = self.awake_floor + (1.0 - self.awake_floor) * util.cpu_intensity
-        package = self.spec.idle_watts + dynamic_range * util.cpu_active_fraction * per_core_load
-        return self.sockets * package
+    def power(self, util):
+        """DC watts for a utilization (or per slice of a utilization array)."""
+        return cpu_package_watts(
+            self.spec.idle_watts, self.spec.tdp_watts, self.sockets,
+            util.cpu_active_fraction, util.cpu_intensity, self.awake_floor,
+        )
 
 
 @dataclass(frozen=True)
@@ -214,13 +207,9 @@ class MemoryPowerModel:
         if self.sockets < 1:
             raise PowerModelError(f"sockets must be >= 1, got {self.sockets}")
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return self.sockets * _linear(self.spec.idle_watts, self.spec.active_watts, util.memory)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return self.sockets * _linear(self.spec.idle_watts, self.spec.active_watts, util.memory)
+    def power(self, util):
+        """DC watts for a utilization (or per slice of a utilization array)."""
+        return linear_watts(self.spec.idle_watts, self.spec.active_watts, util.memory, self.sockets)
 
 
 @dataclass(frozen=True)
@@ -229,13 +218,9 @@ class StoragePowerModel:
 
     spec: StorageSpec
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.storage)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.storage)
+    def power(self, util):
+        """DC watts for a utilization (or per slice of a utilization array)."""
+        return linear_watts(self.spec.idle_watts, self.spec.active_watts, util.storage)
 
 
 @dataclass(frozen=True)
@@ -244,13 +229,9 @@ class NICPowerModel:
 
     spec: InterconnectSpec
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.nic)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.nic)
+    def power(self, util):
+        """DC watts for a utilization (or per slice of a utilization array)."""
+        return linear_watts(self.spec.idle_watts, self.spec.active_watts, util.nic)
 
 
 @dataclass(frozen=True)
@@ -259,10 +240,6 @@ class AcceleratorPowerModel:
 
     spec: AcceleratorSpec
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return _linear(self.spec.idle_watts, self.spec.tdp_watts, util.accelerator)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return _linear(self.spec.idle_watts, self.spec.tdp_watts, util.accelerator)
+    def power(self, util):
+        """DC watts for a utilization (or per slice of a utilization array)."""
+        return linear_watts(self.spec.idle_watts, self.spec.tdp_watts, util.accelerator)

@@ -15,26 +15,82 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..cluster.node import NodeSpec
+from ..exceptions import PowerModelError
+from ..validation import check_fraction
 from .components import (
     AcceleratorPowerModel,
-    CPUPowerModel,
-    MemoryPowerModel,
-    NICPowerModel,
     NodeUtilization,
     NodeUtilizationArray,
-    StoragePowerModel,
+    cpu_package_watts,
+    linear_watts,
 )
 from .psu import PSUModel
 
-__all__ = ["NodePowerModel"]
+__all__ = [
+    "NodePowerModel", "component_watts", "dc_watts", "power_envelope", "psu_rated_watts",
+]
 
 #: Headroom factor: PSUs are sized above the node's nominal full-load draw.
 _PSU_SIZING_FACTOR = 1.25
 
 
+def psu_rated_watts(node: NodeSpec) -> float:
+    """Default PSU rating: 1.25 x the node's nominal full-load DC draw."""
+    return _PSU_SIZING_FACTOR * node.nominal_max_watts
+
+
+def power_envelope(node: NodeSpec) -> Dict[str, float]:
+    """The spec numbers :func:`component_watts` reads, keyed by its parameters."""
+    return {
+        "base_watts": node.base_watts,
+        "sockets": node.sockets,
+        "cpu_idle_w": node.cpu.idle_watts,
+        "cpu_tdp_w": node.cpu.tdp_watts,
+        "mem_idle_w": node.memory.idle_watts,
+        "mem_active_w": node.memory.active_watts,
+        "storage_idle_w": node.storage.idle_watts,
+        "storage_active_w": node.storage.active_watts,
+        "nic_idle_w": node.nic.idle_watts,
+        "nic_active_w": node.nic.active_watts,
+    }
+
+
+def component_watts(
+    util, *, base_watts, sockets, cpu_idle_w, cpu_tdp_w, mem_idle_w, mem_active_w,
+    storage_idle_w, storage_active_w, nic_idle_w, nic_active_w, cpu_awake_floor,
+) -> Dict[str, object]:
+    """DC watts of each part of a CPU-only node, in summation order.
+
+    ``util`` is a :class:`~repro.power.components.NodeUtilization` or a
+    :class:`~repro.power.components.NodeUtilizationArray`; the envelope
+    numbers may be plain numbers or arrays (one row per system).
+    """
+    return {
+        "base": base_watts,
+        "cpu": cpu_package_watts(
+            cpu_idle_w, cpu_tdp_w, sockets,
+            util.cpu_active_fraction, util.cpu_intensity, cpu_awake_floor,
+        ),
+        "memory": linear_watts(mem_idle_w, mem_active_w, util.memory, sockets),
+        "storage": linear_watts(storage_idle_w, storage_active_w, util.storage),
+        "nic": linear_watts(nic_idle_w, nic_active_w, util.nic),
+    }
+
+
+def dc_watts(util, **envelope):
+    """DC watts of a CPU-only node: its :func:`component_watts`, summed in order."""
+    return sum(component_watts(util, **envelope).values())
+
+
 @dataclass(frozen=True)
 class NodePowerModel:
     """Utilization -> watts for one node.
+
+    Every method takes a :class:`~repro.power.components.NodeUtilization`
+    (watts as a float) or a
+    :class:`~repro.power.components.NodeUtilizationArray` (watts per
+    timeline slice, elementwise bitwise equal to the scalar call); the
+    ``*_many`` names are aliases kept for the array form.
 
     Parameters
     ----------
@@ -45,7 +101,8 @@ class NodePowerModel:
         at 1.25 x the node's nominal full-load DC draw with the default
         efficiency curve.
     cpu_awake_floor:
-        Passed through to :class:`~repro.power.components.CPUPowerModel`.
+        Awake floor of the CPU package formula; see
+        :class:`~repro.power.components.CPUPowerModel`.
     """
 
     node: NodeSpec
@@ -53,46 +110,25 @@ class NodePowerModel:
     cpu_awake_floor: float = 0.45
 
     def __post_init__(self) -> None:
+        check_fraction(self.cpu_awake_floor, "cpu_awake_floor", exc=PowerModelError)
         if self.psu is None:
-            object.__setattr__(
-                self,
-                "psu",
-                PSUModel(rated_watts=_PSU_SIZING_FACTOR * self.node.nominal_max_watts),
-            )
-        object.__setattr__(
-            self,
-            "_cpu",
-            CPUPowerModel(
-                spec=self.node.cpu,
-                sockets=self.node.sockets,
-                awake_floor=self.cpu_awake_floor,
-            ),
-        )
-        object.__setattr__(
-            self, "_memory", MemoryPowerModel(spec=self.node.memory, sockets=self.node.sockets)
-        )
-        object.__setattr__(self, "_storage", StoragePowerModel(spec=self.node.storage))
-        object.__setattr__(self, "_nic", NICPowerModel(spec=self.node.nic))
+            object.__setattr__(self, "psu", PSUModel(rated_watts=psu_rated_watts(self.node)))
+        envelope = dict(power_envelope(self.node), cpu_awake_floor=self.cpu_awake_floor)
+        object.__setattr__(self, "_envelope", envelope)
         object.__setattr__(
             self,
             "_accelerators",
             tuple(AcceleratorPowerModel(spec=acc) for acc in self.node.accelerators),
         )
 
-    def dc_power(self, util: NodeUtilization) -> float:
+    def dc_power(self, util):
         """DC watts drawn by the node at the given utilization."""
-        total = (
-            self.node.base_watts
-            + self._cpu.power(util)
-            + self._memory.power(util)
-            + self._storage.power(util)
-            + self._nic.power(util)
-        )
+        total = dc_watts(util, **self._envelope)
         for acc in self._accelerators:
             total += acc.power(util)
         return total
 
-    def wall_power(self, util: NodeUtilization) -> float:
+    def wall_power(self, util):
         """AC watts drawn from the outlet at the given utilization."""
         return self.psu.wall_watts(self.dc_power(util))
 
@@ -112,55 +148,15 @@ class NodePowerModel:
         )
         return self.wall_power(full)
 
-    def component_breakdown(self, util: NodeUtilization) -> dict:
+    def component_breakdown(self, util) -> Dict[str, object]:
         """Per-component DC watts (for reports and debugging)."""
-        breakdown = {
-            "base": self.node.base_watts,
-            "cpu": self._cpu.power(util),
-            "memory": self._memory.power(util),
-            "storage": self._storage.power(util),
-            "nic": self._nic.power(util),
-        }
+        breakdown = component_watts(util, **self._envelope)
+        if isinstance(util, NodeUtilizationArray):
+            breakdown["base"] = np.full(len(util), breakdown["base"])
         if self._accelerators:
             breakdown["accelerators"] = sum(acc.power(util) for acc in self._accelerators)
         return breakdown
 
-    # -- batched struct-of-arrays API ----------------------------------
-    #
-    # One call prices a node's whole timeline.  Each method mirrors its
-    # scalar sibling operation-for-operation so that batched evaluation is
-    # bitwise identical to mapping the scalar model over the slices (the
-    # sweep-line integrator's equivalence guarantee rests on this).
-
-    def dc_power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        total = (
-            self.node.base_watts
-            + self._cpu.power_many(util)
-            + self._memory.power_many(util)
-            + self._storage.power_many(util)
-            + self._nic.power_many(util)
-        )
-        for acc in self._accelerators:
-            total = total + acc.power_many(util)
-        return total
-
-    def wall_power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """AC watts per timeline slice."""
-        return self.psu.wall_watts_many(self.dc_power_many(util))
-
-    def component_breakdown_many(self, util: NodeUtilizationArray) -> Dict[str, np.ndarray]:
-        """Per-component DC watts, one array per component class."""
-        breakdown = {
-            "base": np.full(len(util), self.node.base_watts),
-            "cpu": self._cpu.power_many(util),
-            "memory": self._memory.power_many(util),
-            "storage": self._storage.power_many(util),
-            "nic": self._nic.power_many(util),
-        }
-        if self._accelerators:
-            acc_watts = self._accelerators[0].power_many(util)
-            for acc in self._accelerators[1:]:
-                acc_watts = acc_watts + acc.power_many(util)
-            breakdown["accelerators"] = acc_watts
-        return breakdown
+    dc_power_many = dc_power
+    wall_power_many = wall_power
+    component_breakdown_many = component_breakdown

@@ -21,7 +21,10 @@ import numpy as np
 from ..exceptions import PowerModelError
 from ..validation import check_positive
 
-__all__ = ["PSUModel", "DEFAULT_EFFICIENCY_CURVE", "IDEAL_PSU"]
+__all__ = [
+    "PSUModel", "DEFAULT_EFFICIENCY_CURVE", "IDEAL_PSU", "curve_points",
+    "efficiency_at", "wall_watts",
+]
 
 #: (load fraction, efficiency) points for a typical late-2000s server PSU.
 DEFAULT_EFFICIENCY_CURVE: Tuple[Tuple[float, float], ...] = (
@@ -32,6 +35,36 @@ DEFAULT_EFFICIENCY_CURVE: Tuple[Tuple[float, float], ...] = (
     (0.80, 0.86),
     (1.00, 0.84),
 )
+
+
+def curve_points(curve: Tuple[Tuple[float, float], ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(loads, efficiencies)`` of an efficiency curve as float arrays."""
+    return (
+        np.array([p[0] for p in curve], dtype=float),
+        np.array([p[1] for p in curve], dtype=float),
+    )
+
+
+def efficiency_at(dc_watts, rated_watts, loads, efficiencies):
+    """Efficiency interpolated at load fraction ``min(dc / rated, 1)``."""
+    return np.interp(np.minimum(dc_watts / rated_watts, 1.0), loads, efficiencies)
+
+
+def wall_watts(dc_watts, rated_watts, loads, efficiencies):
+    """AC watts drawn for a DC load (0 for 0: every efficiency is > 0)."""
+    return dc_watts / efficiency_at(dc_watts, rated_watts, loads, efficiencies)
+
+
+def _validated(dc_watts):
+    dc = np.asarray(dc_watts, dtype=float)
+    if np.any(dc < 0):
+        raise PowerModelError(f"dc_watts must be >= 0, got {dc.min()}")
+    return dc
+
+
+def _native(watts):
+    """A float for a scalar input, the array otherwise."""
+    return float(watts) if np.ndim(watts) == 0 else watts
 
 
 @dataclass(frozen=True)
@@ -57,9 +90,8 @@ class PSUModel:
         check_positive(self.rated_watts, "rated_watts", exc=PowerModelError)
         if len(self.curve) < 2:
             raise PowerModelError("efficiency curve needs at least 2 points")
-        loads = [p[0] for p in self.curve]
-        effs = [p[1] for p in self.curve]
-        if loads != sorted(loads):
+        loads, effs = curve_points(self.curve)
+        if np.any(np.diff(loads) < 0):
             raise PowerModelError("efficiency curve loads must be sorted ascending")
         if loads[0] != 0.0 or loads[-1] != 1.0:
             raise PowerModelError("efficiency curve must span load fractions 0..1")
@@ -68,42 +100,18 @@ class PSUModel:
                 raise PowerModelError(f"efficiency {eff} outside (0, 1]")
         # Cache the interpolation grid once: efficiency() sits on the hot
         # power-integration path and must not rebuild arrays per call.
-        object.__setattr__(self, "_loads", np.array(loads, dtype=float))
-        object.__setattr__(self, "_effs", np.array(effs, dtype=float))
+        object.__setattr__(self, "_points", (loads, effs))
 
-    def efficiency(self, dc_watts: float) -> float:
-        """Conversion efficiency at the given DC draw."""
-        if dc_watts < 0:
-            raise PowerModelError(f"dc_watts must be >= 0, got {dc_watts}")
-        load = min(dc_watts / self.rated_watts, 1.0)
-        return float(np.interp(load, self._loads, self._effs))
+    def efficiency(self, dc_watts):
+        """Conversion efficiency at a DC draw (or elementwise over an array)."""
+        return _native(efficiency_at(_validated(dc_watts), self.rated_watts, *self._points))
 
-    def wall_watts(self, dc_watts: float) -> float:
-        """AC power drawn from the outlet for the given DC load."""
-        if dc_watts == 0:
-            return 0.0
-        return dc_watts / self.efficiency(dc_watts)
+    def wall_watts(self, dc_watts):
+        """AC power drawn from the outlet for a DC load (or per array element)."""
+        return _native(wall_watts(_validated(dc_watts), self.rated_watts, *self._points))
 
-    def efficiency_many(self, dc_watts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`efficiency` over an array of DC draws."""
-        dc = np.asarray(dc_watts, dtype=float)
-        if dc.size and dc.min() < 0:
-            raise PowerModelError("dc_watts must be >= 0")
-        load = np.minimum(dc / self.rated_watts, 1.0)
-        return np.interp(load, self._loads, self._effs)
-
-    def wall_watts_many(self, dc_watts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`wall_watts`: one division per timeline slice.
-
-        Elementwise identical to the scalar method — same clamp, same
-        interpolation grid, and the ``dc == 0 -> 0`` short-circuit is
-        applied as a mask after the division.
-        """
-        dc = np.asarray(dc_watts, dtype=float)
-        watts = dc / self.efficiency_many(dc)
-        if dc.size:
-            watts[dc == 0.0] = 0.0
-        return watts
+    efficiency_many = efficiency
+    wall_watts_many = wall_watts
 
 
 #: Lossless supply for ablation studies.

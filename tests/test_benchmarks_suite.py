@@ -1,7 +1,10 @@
 """BenchmarkSuite / SuiteResult / ScalingSweep tests."""
 
+import sys
+
 import pytest
 
+from repro import validation
 from repro.benchmarks import (
     BenchmarkSuite,
     HPLBenchmark,
@@ -9,7 +12,10 @@ from repro.benchmarks import (
     ScalingSweep,
     StreamBenchmark,
 )
+from repro.cluster import presets
 from repro.exceptions import BenchmarkError
+from repro.experiments import PAPER_CONFIG, build_suite
+from repro.sim import ClusterExecutor
 
 
 class TestBenchmarkSuite:
@@ -102,3 +108,32 @@ class TestScalingSweep:
     def test_empty_core_counts_rejected(self, quick_suite):
         with pytest.raises(BenchmarkError):
             ScalingSweep(quick_suite, [])
+
+
+class TestScalingGuards:
+    """Work per rank, counted rather than timed, at production sizes."""
+
+    def test_validations_grow_no_faster_than_ranks(self, monkeypatch):
+        """``check_fraction`` calls while building the paper suite on SystemG."""
+        original = validation.check_fraction
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "check_fraction", None) is original:
+                monkeypatch.setattr(module, "check_fraction", counting)
+
+        suite = build_suite(PAPER_CONFIG)
+        counts = {}
+        for ranks in (1024, 4096):
+            executor = ClusterExecutor(presets.system_g(ranks // 8), rng=0)
+            assert executor.cluster.total_cores == ranks
+            del calls[:]
+            for benchmark in suite.benchmarks:
+                benchmark.build(executor, suite.scale_for(benchmark, ranks, executor))
+            counts[ranks] = len(calls)
+        assert counts[1024] > 0
+        assert counts[4096] <= 4.1 * counts[1024], counts

@@ -7,6 +7,12 @@ returned :class:`BenchmarkResult` carries everything the TGI pipeline needs:
 the benchmark's own performance metric (in its own units — the whole point
 of TGI is aggregating across heterogeneous metrics), the measured power
 trace, and the derived time/power/energy numbers used by the weighted means.
+
+Every rank of a suite member runs the same phases, so a builder creates its
+phase sequence once per :meth:`Benchmark.build` and gives each rank its own
+list of those shared, frozen :class:`~repro.sim.workload.Phase` objects.
+Appending to one rank's program never changes another's, and the engine's
+identity dedupe keeps its phase table at the number of distinct phases.
 """
 
 from __future__ import annotations
@@ -113,7 +119,8 @@ class Benchmark(abc.ABC):
         with tele.span(
             "benchmark.run", benchmark=self.name, scale=scale, cluster=cluster
         ):
-            built = self.build(executor, scale)
+            with tele.span("benchmark.build", benchmark=self.name, scale=scale):
+                built = self.build(executor, scale)
             record = executor.execute(
                 built.placement, built.programs, label=f"{self.name}@{scale}"
             )

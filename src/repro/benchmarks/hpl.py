@@ -120,30 +120,26 @@ class HPLBenchmark(Benchmark):
         acc_share = 0.0
         if cluster.node.accelerators:
             acc_share = min(1.0, 1.0 / ranks_per_node)
-        programs = []
-        for rank in range(scale):
-            program = RankProgram(rank=rank)
-            for _ in range(rounds):
-                program.append(
-                    compute_phase(
-                        comp_slice,
-                        intensity=self.compute_intensity,
-                        memory=self.memory_per_rank,
-                        accelerator=acc_share,
-                        label="hpl-update",
-                    )
+        step = [
+            compute_phase(
+                comp_slice,
+                intensity=self.compute_intensity,
+                memory=self.memory_per_rank,
+                accelerator=acc_share,
+                label="hpl-update",
+            )
+        ]
+        if comm_slice > 0:
+            step.append(
+                comm_phase(
+                    comm_slice,
+                    nic=self.nic_utilization,
+                    intensity=self.comm_intensity,
+                    label="hpl-bcast",
                 )
-                if comm_slice > 0:
-                    program.append(
-                        comm_phase(
-                            comm_slice,
-                            nic=self.nic_utilization,
-                            intensity=self.comm_intensity,
-                            label="hpl-bcast",
-                        )
-                    )
-                program.append(barrier())
-            programs.append(program)
+            )
+        sequence = (step + [barrier()]) * rounds
+        programs = tuple(RankProgram(rank=r, phases=list(sequence)) for r in range(scale))
 
         details: Dict[str, float] = {
             "problem_size": float(n),
@@ -155,7 +151,7 @@ class HPLBenchmark(Benchmark):
         }
         return BuiltRun(
             placement=placement,
-            programs=tuple(programs),
+            programs=programs,
             performance=prediction.performance_flops,
             details=details,
         )

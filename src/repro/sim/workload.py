@@ -1,6 +1,8 @@
 """Phase-based workload description.
 
 A rank's program is a list of :class:`Phase` objects executed in order.
+Phases are frozen, so one object may appear at many positions and in many
+ranks' programs; each :class:`RankProgram` still owns its own list.
 Each phase has a fixed duration (computed upstream by the performance
 models) and declares what the rank demands from its node while the phase
 runs:
@@ -145,9 +147,14 @@ class RankProgram:
 # ----------------------------------------------------------------------
 # Phase constructors
 # ----------------------------------------------------------------------
+# Interned once: a barrier carries no per-use data, so every program
+# shares this single frozen Phase instead of building one per rank.
+_BARRIER = Phase(kind=PhaseKind.BARRIER, duration_s=0.0, label="barrier")
+
+
 def barrier() -> Phase:
-    """A synchronization point across all ranks."""
-    return Phase(kind=PhaseKind.BARRIER, duration_s=0.0, label="barrier")
+    """A synchronization point across all ranks (always the same object)."""
+    return _BARRIER
 
 
 def compute_phase(

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from repro import telemetry as tele
 from repro import validation
 from repro.benchmarks import (
     BenchmarkSuite,
@@ -15,7 +16,7 @@ from repro.benchmarks import (
 from repro.cluster import presets
 from repro.exceptions import BenchmarkError
 from repro.experiments import PAPER_CONFIG, build_suite
-from repro.sim import ClusterExecutor
+from repro.sim import ClusterExecutor, SimulationEngine
 
 
 class TestBenchmarkSuite:
@@ -39,6 +40,20 @@ class TestBenchmarkSuite:
     def test_scale_for_others_is_cores(self, quick_suite, executor):
         hpl = quick_suite.benchmarks[0]
         assert quick_suite.scale_for(hpl, 48, executor) == 48
+
+    def test_build_span_per_benchmark_under_its_run(self, quick_suite, executor):
+        """Each member's build is a ``benchmark.build`` child of its run."""
+        with tele.use() as session:
+            quick_suite.run(executor, 32)
+        spans = session.spans
+        runs = {s.span_id: s for s in spans if s.name == "benchmark.run"}
+        builds = [s for s in spans if s.name == "benchmark.build"]
+        assert len(builds) == len(runs) == len(quick_suite.benchmarks)
+        assert [s.attrs["benchmark"] for s in builds] == quick_suite.names
+        for build in builds:
+            run = runs[build.parent_id]
+            assert build.attrs["benchmark"] == run.attrs["benchmark"]
+            assert build.attrs["scale"] == run.attrs["scale"]
 
     def test_run_produces_all_members(self, quick_suite, executor):
         result = quick_suite.run(executor, 32)
@@ -137,3 +152,27 @@ class TestScalingGuards:
             counts[ranks] = len(calls)
         assert counts[1024] > 0
         assert counts[4096] <= 4.1 * counts[1024], counts
+
+    def test_distinct_phases_independent_of_ranks(self):
+        """Builders share one phase sequence across ranks, so neither the
+        programs' distinct phases nor the engine's phase table grow with
+        the rank count."""
+        suite = build_suite(PAPER_CONFIG)
+        distinct = {}
+        table = {}
+        for ranks in (1024, 4096):
+            executor = ClusterExecutor(presets.system_g(ranks // 8), rng=0)
+            assert executor.cluster.total_cores == ranks
+            for benchmark in suite.benchmarks:
+                scale = suite.scale_for(benchmark, ranks, executor)
+                built = benchmark.build(executor, scale)
+                distinct[benchmark.name, ranks] = len(
+                    {id(phase) for program in built.programs for phase in program.phases}
+                )
+                table[benchmark.name, ranks] = len(
+                    SimulationEngine(built.programs).run_arrays().phases
+                )
+        for benchmark in suite.benchmarks:
+            name = benchmark.name
+            assert distinct[name, 1024] == distinct[name, 4096], (name, distinct)
+            assert table[name, 1024] == table[name, 4096], (name, table)

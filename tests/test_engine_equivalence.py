@@ -1,7 +1,7 @@
 """Vectorized-vs-reference engine equivalence (hypothesis).
 
 The vectorized sweep engine must be indistinguishable from the event-heap
-oracle.  Two strategies probe it:
+oracle.  Three strategies probe it:
 
 * *Binary-fraction programs*: durations are multiples of 1/256, so every
   prefix sum both engines compute is exact in float64 and agreement must
@@ -10,12 +10,26 @@ oracle.  Two strategies probe it:
 * *Arbitrary-float programs* (reusing the looser generator) check the
   ≤1e-9 contract from the issue on bounds, makespan, and downstream
   energy through the full executor pipeline.
+* *Shared-phase programs* draw every position from a small pool of
+  ``Phase`` objects, reused within and across ranks — the form every
+  benchmark builder emits — so identity dedupe must not merge what the
+  reference engine keeps apart.
+
+The builders' shared sequences are also checked for aliasing: each rank
+owns its list, so appending to one program never changes another.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks import (
+    EffectiveBandwidthBenchmark,
+    HPLBenchmark,
+    IOzoneBenchmark,
+    RandomAccessBenchmark,
+    StreamBenchmark,
+)
 from repro.cluster import presets
 from repro.sim import (
     ClusterExecutor,
@@ -71,6 +85,39 @@ def random_programs(draw):
             if segment < num_barriers:
                 program.append(barrier())
         programs.append(program)
+    return programs
+
+
+@st.composite
+def shared_phase_programs(draw):
+    """Programs whose positions are drawn from a pool of a few ``Phase``
+    objects, repeated within and across ranks.  Either every rank runs one
+    shared sequence (as the builders do) or each draws its own; an
+    optional straggler rank mixes in a 32x-longer pool of its own."""
+    specs = draw(st.lists(phase_specs, min_size=1, max_size=4))
+    pool = [_build_phase(spec) for spec in specs]
+    slow_pool = pool + [_build_phase(spec, 32.0) for spec in specs]
+    num_ranks = draw(st.integers(min_value=1, max_value=8))
+    num_barriers = draw(st.integers(min_value=0, max_value=4))
+    straggler = draw(st.integers(min_value=-1, max_value=num_ranks - 1))
+
+    def sequence(phases):
+        segment = st.lists(st.sampled_from(phases), min_size=0, max_size=4)
+        out = []
+        for s in range(num_barriers + 1):
+            out.extend(draw(segment))
+            if s < num_barriers:
+                out.append(barrier())
+        return out
+
+    shared = sequence(pool) if draw(st.booleans()) else None
+    programs = []
+    for rank in range(num_ranks):
+        if rank == straggler:
+            phases = sequence(slow_pool)
+        else:
+            phases = list(shared) if shared is not None else sequence(pool)
+        programs.append(RankProgram(rank=rank, phases=phases))
     return programs
 
 
@@ -131,6 +178,34 @@ class TestIntervalEquivalence:
         assert arrays.makespan == pytest.approx(
             ref.makespan(ref.run()), rel=1e-9, abs=1e-9
         )
+
+
+class TestSharedPhases:
+    @given(programs=shared_phase_programs())
+    @settings(max_examples=120, deadline=None)
+    def test_interval_exact_agreement(self, programs):
+        """Phase objects reused at several positions and across ranks,
+        with and without a straggler: interval-exact agreement."""
+        assert_engines_interval_exact(programs)
+
+    @pytest.mark.parametrize(
+        "member",
+        [
+            HPLBenchmark(sizing=("fixed", 4480), rounds=2),
+            StreamBenchmark(target_seconds=10),
+            IOzoneBenchmark(target_seconds=10),
+            RandomAccessBenchmark(target_seconds=10),
+            EffectiveBandwidthBenchmark(target_seconds=10),
+        ],
+        ids=lambda b: b.name,
+    )
+    def test_builder_programs_do_not_alias(self, member):
+        """Appending to one rank's program leaves every other rank's alone."""
+        built = member.build(ClusterExecutor(presets.fire(num_nodes=2), rng=7), 2)
+        before = list(built.programs[1].phases)
+        built.programs[0].append(compute_phase(1.0))
+        assert built.programs[1].phases == before
+        assert len(built.programs[0].phases) == len(before) + 1
 
 
 class TestDownstreamEnergyEquivalence:

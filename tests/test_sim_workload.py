@@ -45,6 +45,9 @@ class TestPhase:
         assert barrier().duration_s == 0.0
         assert not barrier().occupies_core
 
+    def test_barrier_is_interned(self):
+        assert barrier() is barrier()
+
     def test_barrier_with_duration_rejected(self):
         with pytest.raises(SimulationError):
             Phase(kind=PhaseKind.BARRIER, duration_s=1.0)

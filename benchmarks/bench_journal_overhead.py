@@ -11,15 +11,23 @@ Two claims pinned here:
    telemetry bench does it: on deliberately tiny jobs a wall-clock diff
    is noise, while the product is a stable upper bound.
 
+The budget check measures the per-emit cost and the campaign wall time
+interleaved, in pairs, and asserts on the median of the per-pair ratios.
+A burst of host load then slows both halves of the pair it lands in, and
+one disturbed pair cannot move the median, so the check does not fail by
+chance when the overhead sits near the budget.
+
 The campaign is 50 genuinely executed single-point jobs on a one-node
 Fire preset with a small HPL — the same denominator the telemetry
 overhead bench uses, so the two budgets are comparable.
 """
 
 import dataclasses
+import statistics
 import tempfile
 import time
 from pathlib import Path
+from typing import List
 
 from repro import journal as jrnl
 from repro.campaign import CampaignRunner
@@ -29,6 +37,7 @@ from repro.perfwatch import MetricSpec, scenario
 
 JOB_COUNT = 50
 REPEATS = 3
+PAIRS = 7
 
 QUICK_CONFIG = dataclasses.replace(
     PAPER_CONFIG,
@@ -52,10 +61,10 @@ def _jobs():
     ]
 
 
-def _campaign_seconds() -> float:
-    """Best-of-REPEATS wall time of the unjournaled campaign (serial)."""
+def _campaign_seconds(repeats: int = REPEATS) -> float:
+    """Best-of-``repeats`` wall time of the unjournaled campaign (serial)."""
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         runner = CampaignRunner(workers=1)
         jobs = _jobs()
         t0 = time.perf_counter()
@@ -82,6 +91,16 @@ def _measured_emit_cost_s(samples: int = 20_000) -> float:
         elapsed = time.perf_counter() - t0
         writer.close()
     return elapsed / samples
+
+
+def _paired_overhead_ratios(events: int, pairs: int = PAIRS) -> List[float]:
+    """Per-pair ``events x per-emit cost / campaign wall``, measured back to back."""
+    ratios = []
+    for _ in range(pairs):
+        per_emit_s = _measured_emit_cost_s(samples=2_000)
+        plain_s = _campaign_seconds(repeats=1)
+        ratios.append(events * per_emit_s / plain_s)
+    return ratios
 
 
 def _measured_null_emit_cost_s(samples: int = 200_000) -> float:
@@ -142,13 +161,12 @@ def test_null_emit_is_a_single_none_check(benchmark):
 
 def test_journal_overhead_under_2_percent_on_50_config_campaign():
     events = _census_events()
-    per_emit_s = _measured_emit_cost_s(samples=10_000)
-    plain_s = _campaign_seconds()
-    overhead = events * per_emit_s / plain_s
+    ratios = _paired_overhead_ratios(events)
+    overhead = statistics.median(ratios)
     print(
-        f"\n50-config campaign: {events} journal events x "
-        f"{per_emit_s * 1e6:.1f} us = {events * per_emit_s * 1e3:.2f} ms "
-        f"over {plain_s:.3f} s -> {100 * overhead:.3f}% overhead"
+        f"\n50-config campaign: {events} journal events; per-pair overhead "
+        f"{', '.join(f'{100 * r:.3f}%' for r in ratios)} -> median "
+        f"{100 * overhead:.3f}%"
     )
     assert overhead < 0.02, (
         f"journal overhead {100 * overhead:.2f}% exceeds the 2% budget"

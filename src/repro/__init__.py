@@ -56,95 +56,45 @@ Subpackages
     and partial-TGI degradation paths.
 """
 
-from .cluster import presets
-from .cluster.cluster import ClusterSpec
-from .cluster.node import NodeSpec
-from .benchmarks import (
-    Benchmark,
-    BenchmarkResult,
-    BenchmarkSuite,
-    HPLBenchmark,
-    IOzoneBenchmark,
-    ScalingSweep,
-    StreamBenchmark,
-    SuiteResult,
-    SweepResult,
-)
-from .core import (
-    ArithmeticMeanWeights,
-    CustomWeights,
-    EnergyWeights,
-    PowerWeights,
-    ReferenceSet,
-    TGICalculator,
-    TGIResult,
-    TGISeries,
-    TimeWeights,
-    rank_systems,
-    tgi_from_components,
-)
-from .power import NodePowerModel, PowerTrace, WallPlugMeter
-from .sim import ClusterExecutor
-from .exceptions import CampaignExecutionError, InjectedFault, ReproError
-from .faults import FaultInjector, FaultPlan
+import importlib
 
 __version__ = "1.10.0"
 
-from .campaign import (  # noqa: E402 - needs __version__ for cache stamps
-    CampaignJob,
-    CampaignResult,
-    CampaignRunner,
-    ClusterRef,
-    ResultCache,
-)
-from .telemetry import TelemetrySession  # noqa: E402 - instrumented layers above
-from .fleet import (  # noqa: E402 - rides the campaign subsystem
-    FleetRanking,
-    FleetRankingPipeline,
-    evaluate_fleet,
-)
+#: Module -> the public names it provides, in ``__all__`` order.  Names
+#: resolve on first access (PEP 562), so ``import repro.experiments``
+#: loads the science core without the campaign, fleet, journal or
+#: timeline packages.
+_EXPORTS = {
+    "repro.cluster": ("presets",),
+    "repro.cluster.cluster": ("ClusterSpec",),
+    "repro.cluster.node": ("NodeSpec",),
+    "repro.benchmarks": (
+        "Benchmark", "BenchmarkResult", "BenchmarkSuite", "HPLBenchmark",
+        "StreamBenchmark", "IOzoneBenchmark", "ScalingSweep", "SweepResult",
+        "SuiteResult",
+    ),
+    "repro.core": (
+        "ReferenceSet", "TGICalculator", "TGIResult", "TGISeries",
+        "ArithmeticMeanWeights", "TimeWeights", "EnergyWeights", "PowerWeights",
+        "CustomWeights", "rank_systems", "tgi_from_components",
+    ),
+    "repro.power": ("NodePowerModel", "PowerTrace", "WallPlugMeter"),
+    "repro.sim": ("ClusterExecutor",),
+    "repro.campaign": (
+        "CampaignJob", "CampaignResult", "CampaignRunner", "ClusterRef", "ResultCache",
+    ),
+    "repro.telemetry": ("TelemetrySession",),
+    "repro.fleet": ("FleetRanking", "FleetRankingPipeline", "evaluate_fleet"),
+    "repro.exceptions": ("ReproError", "CampaignExecutionError", "InjectedFault"),
+    "repro.faults": ("FaultPlan", "FaultInjector"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "presets",
-    "ClusterSpec",
-    "NodeSpec",
-    "Benchmark",
-    "BenchmarkResult",
-    "BenchmarkSuite",
-    "HPLBenchmark",
-    "StreamBenchmark",
-    "IOzoneBenchmark",
-    "ScalingSweep",
-    "SweepResult",
-    "SuiteResult",
-    "ReferenceSet",
-    "TGICalculator",
-    "TGIResult",
-    "TGISeries",
-    "ArithmeticMeanWeights",
-    "TimeWeights",
-    "EnergyWeights",
-    "PowerWeights",
-    "CustomWeights",
-    "rank_systems",
-    "tgi_from_components",
-    "NodePowerModel",
-    "PowerTrace",
-    "WallPlugMeter",
-    "ClusterExecutor",
-    "CampaignJob",
-    "CampaignResult",
-    "CampaignRunner",
-    "ClusterRef",
-    "ResultCache",
-    "TelemetrySession",
-    "FleetRanking",
-    "FleetRankingPipeline",
-    "evaluate_fleet",
-    "ReproError",
-    "CampaignExecutionError",
-    "InjectedFault",
-    "FaultPlan",
-    "FaultInjector",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

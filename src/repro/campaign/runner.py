@@ -12,8 +12,9 @@ process that executes a job:
    keyed job and the probe → attempt → publish path it takes in whichever
    process runs it;
 3. the :class:`WorkerTransport` implementations — :class:`InlineTransport`
-   and :class:`ProcessPoolTransport`, whose one worker shim re-binds the
-   journal and telemetry in each pool process;
+   and :class:`ProcessPoolTransport`, whose one worker shim binds the
+   journal, telemetry and timeline slots of :mod:`repro.ambient` in each
+   pool process;
 4. :class:`JobOutcome`, :class:`CampaignResult` and :func:`build_manifest`
    — a run's outcomes, in submission order, and its machine-readable
    manifest (see :mod:`repro.campaign.manifest`).
@@ -52,11 +53,15 @@ Flight recorder
 ``journal=`` arms the append-only run journal (:mod:`repro.journal`): the
 parent records the run lifecycle, schedule, and cache hits; whichever
 process executes a job appends its attempt-level events (start, contained
-failure, retry, completion with ``getrusage`` CPU/RSS accounting) to the
-*same* file via atomic ``O_APPEND`` line writes, so ``tgi watch`` can
-follow an in-flight campaign from another process.  The manifest records
-the journal's path, run id, and content digest as a volatile block —
-like telemetry, journaling never changes payloads or fingerprints.
+failure, retry, completion with ``getrusage`` CPU/RSS accounting) and the
+fault injector's ``fault.injected`` events to the *same* file via atomic
+``O_APPEND`` line writes, so ``tgi watch`` can follow an in-flight
+campaign from another process.  The journal reaches that code one way
+only: as the ambient binding (:mod:`repro.ambient`), which the scheduler
+sets for the run and each pool worker sets for its job.  The manifest
+records the journal's path, run id, and content digest as a volatile
+block — like telemetry, journaling never changes payloads or
+fingerprints.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .. import ambient
 from .. import journal as jrnl
 from .. import telemetry as tele
 from .. import timeline as tline
@@ -166,7 +172,6 @@ def _attempt_job(
     retries: int = 0,
     backoff_s: float = 0.0,
     backoff_seed: int = 0,
-    journal: Optional[jrnl.JournalWriter] = None,
     timeline_dir: Optional[Path] = None,
 ) -> Tuple[Optional[Dict], Optional[Dict], int, float]:
     """Run one job with containment and retries.
@@ -178,10 +183,10 @@ def _attempt_job(
     escapes) propagate: containment is for job failures, not for the
     operator's ctrl-C.
 
-    With ``journal`` set, every attempt's lifecycle lands in the run
-    journal — start, contained failure, retry decision (with the chosen
-    backoff), and the terminal completed/failed event carrying the
-    ``getrusage`` CPU/RSS accounting of the executing process.
+    When a journal writer is bound (:mod:`repro.ambient`), every attempt's
+    lifecycle lands in it — start, contained failure, retry decision (with
+    the chosen backoff), and the terminal completed/failed event carrying
+    the ``getrusage`` CPU/RSS accounting of the executing process.
 
     With ``timeline_dir`` set, each attempt arms the ambient power-
     timeline sink (:mod:`repro.timeline`) around the execution; the
@@ -192,18 +197,14 @@ def _attempt_job(
     """
     error: Optional[Dict] = None
     wall = 0.0
-    ru_start = jrnl.rusage_fields() if journal is not None else None
+    ru_start = jrnl.rusage_fields() if jrnl.journaling() else None
     for attempt in range(retries + 1):
         if attempt:
             delay = _retry_delay(backoff_s, attempt, backoff_seed, job.job_id)
-            if journal is not None:
-                journal.emit(
-                    "job.retried", job=job.job_id, attempt=attempt, delay_s=delay
-                )
+            jrnl.emit("job.retried", job=job.job_id, attempt=attempt, delay_s=delay)
             if delay > 0.0:
                 time.sleep(delay)
-        if journal is not None:
-            journal.emit("job.started", job=job.job_id, attempt=attempt)
+        jrnl.emit("job.started", job=job.job_id, attempt=attempt)
         t0 = time.perf_counter()
         try:
             with tele.span("job.execute", job=job.job_id, attempt=attempt):
@@ -218,18 +219,15 @@ def _attempt_job(
                 artifact = tline.write_job_artifact(
                     timeline_dir, job_id=job.job_id, timelines=captured
                 )
-                if journal is not None:
-                    journal.emit(
-                        "timeline.captured",
-                        job=job.job_id,
-                        path=str(artifact),
-                        runs=len(captured),
-                        energy_j=float(
-                            sum(tl.true_energy_j for tl in captured)
-                        ),
-                    )
-            if journal is not None:
-                journal.emit(
+                jrnl.emit(
+                    "timeline.captured",
+                    job=job.job_id,
+                    path=str(artifact),
+                    runs=len(captured),
+                    energy_j=float(sum(tl.true_energy_j for tl in captured)),
+                )
+            if jrnl.journaling():
+                jrnl.emit(
                     "job.completed",
                     job=job.job_id,
                     attempts=attempt + 1,
@@ -241,23 +239,21 @@ def _attempt_job(
             attempt_wall = time.perf_counter() - t0
             wall += attempt_wall
             error = _error_info(exc)
-            if journal is not None:
-                journal.emit(
-                    "job.attempt_failed",
-                    job=job.job_id,
-                    attempt=attempt,
-                    error_type=error["type"],
-                    error_message=error["message"][:_JOURNAL_MESSAGE_LIMIT],
-                    wall_s=attempt_wall,
-                )
-    if journal is not None:
-        journal.emit(
-            "job.failed",
-            job=job.job_id,
-            attempts=retries + 1,
-            error_type=error["type"],
-            error_message=error["message"][:_JOURNAL_MESSAGE_LIMIT],
-        )
+            jrnl.emit(
+                "job.attempt_failed",
+                job=job.job_id,
+                attempt=attempt,
+                error_type=error["type"],
+                error_message=error["message"][:_JOURNAL_MESSAGE_LIMIT],
+                wall_s=attempt_wall,
+            )
+    jrnl.emit(
+        "job.failed",
+        job=job.job_id,
+        attempts=retries + 1,
+        error_type=error["type"],
+        error_message=error["message"][:_JOURNAL_MESSAGE_LIMIT],
+    )
     return None, error, retries + 1, wall
 
 
@@ -462,10 +458,7 @@ class WorkResult:
 
 
 def execute_work_item(
-    item: WorkItem,
-    *,
-    journal: Optional[jrnl.JournalWriter] = None,
-    cache: Optional[ResultCache] = None,
+    item: WorkItem, *, cache: Optional[ResultCache] = None
 ) -> WorkResult:
     """Probe → execute (contained, with retries) → publish, for one item.
 
@@ -478,16 +471,14 @@ def execute_work_item(
     executing process* (atomic rename; unique staging name), and only then
     does the ``job.stored`` event land — so a journal that contains
     ``job.stored`` implies a durable cache entry, which is exactly the
-    order crash resume relies on.
+    order crash resume relies on.  Events go to the ambient journal writer
+    (:mod:`repro.ambient`), which the executing process has bound.
     """
     t0 = time.perf_counter()
     if cache is not None:
         cached = cache.peek(item.key)
         if cached is not None:
-            if journal is not None:
-                journal.emit(
-                    "job.cache_hit", job=item.job.job_id, key=item.key, attempt=0
-                )
+            jrnl.emit("job.cache_hit", job=item.job.job_id, key=item.key, attempt=0)
             return WorkResult(
                 index=item.index,
                 shard=item.shard,
@@ -503,7 +494,6 @@ def execute_work_item(
         retries=item.retries,
         backoff_s=item.backoff_s,
         backoff_seed=item.backoff_seed,
-        journal=journal,
         timeline_dir=timeline_dir,
     )
     if error is not None:
@@ -520,8 +510,7 @@ def execute_work_item(
     if cache is not None:
         with tele.span("job.store", job=item.job.job_id, skipped=False):
             cache.put(item.key, payload)
-        if journal is not None:
-            journal.emit("job.stored", job=item.job.job_id, key=item.key)
+        jrnl.emit("job.stored", job=item.job.job_id, key=item.key)
         status = "computed"
     return WorkResult(
         index=item.index,
@@ -542,40 +531,38 @@ _WORKER_JOBS_DONE = 0
 def _pool_worker(item: WorkItem) -> WorkResult:
     """Pool-side shim: rebuild per-process handles, run one item.
 
-    The one place a pool worker re-binds observability.  It drops any
-    fork-inherited ambient journal/telemetry bindings, opens its *own*
-    ``O_APPEND`` handle on the shared journal (same run id) and its own
-    view of the shared cache directory, emits a pickup heartbeat, and
-    ships finished telemetry spans/metric state plus its cache-stat deltas
-    back with the result.  Journal events do *not* ship back: appending
-    directly is what makes ``tgi watch`` live rather than end-of-run.
+    The one place a pool worker binds observability, in one
+    :func:`repro.ambient.bound` call that replaces whatever the fork
+    inherited: its *own* ``O_APPEND`` handle on the shared journal (same
+    run id), a fresh telemetry session when the parent collects one, and
+    no timeline sink (per-job timeline artifacts arm their own).  It also
+    opens its own view of the shared cache directory, emits a pickup
+    heartbeat, and ships finished telemetry spans/metric state plus its
+    cache-stat deltas back with the result.  Journal events do *not* ship
+    back: appending directly is what makes ``tgi watch`` live rather than
+    end-of-run.
     """
     global _WORKER_JOBS_DONE
     journal = None
     if item.journal_path is not None:
-        jrnl.detach()
         journal = jrnl.JournalWriter(
             item.journal_path, run_id=item.run_id, process=f"worker-{os.getpid()}"
         )
-        jrnl.attach(journal)
         journal.emit(
             "worker.heartbeat", jobs_done=_WORKER_JOBS_DONE, **jrnl.rusage_fields()
+        )
+    session = None
+    if item.with_telemetry:
+        session = tele.TelemetrySession(
+            label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
         )
     cache = None
     if item.cache_dir is not None:
         cache = ResultCache(item.cache_dir, code_version=item.code_version)
     try:
-        if not item.with_telemetry:
-            result = execute_work_item(item, journal=journal, cache=cache)
-        else:
-            # Fork-started workers inherit a copy of the parent session;
-            # collect into a fresh one and ship it back instead.
-            tele.deactivate()
-            session = tele.TelemetrySession(
-                label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
-            )
-            with tele.use(session):
-                result = execute_work_item(item, journal=journal, cache=cache)
+        with ambient.bound(session=session, journal=journal, sink=None):
+            result = execute_work_item(item, cache=cache)
+        if session is not None:
             result.spans = session.tracer.as_dicts()
             result.metrics = session.metrics.state()
         if cache is not None:
@@ -589,7 +576,6 @@ def _pool_worker(item: WorkItem) -> WorkResult:
     finally:
         if journal is not None:
             _WORKER_JOBS_DONE += 1
-            jrnl.detach()
             journal.close()
 
 
@@ -629,26 +615,21 @@ class InlineTransport(WorkerTransport):
     target when a process pool cannot start or dies mid-run (result-
     identical by construction).  Items run lazily, one per result the
     scheduler pulls, so fail-fast dispatches nothing past the first
-    exhausted job.  They run against the *live* cache and journal writer,
-    so telemetry spans land directly in the ambient session and cache
+    exhausted job.  They run against the *live* cache and the scheduling
+    process's ambient bindings, so journal events, telemetry spans and
+    timelines land directly where the scheduler bound them and cache
     stats accrue in place — no shipping needed.
     """
 
     name = "inline"
     slots = 1
 
-    def __init__(
-        self,
-        *,
-        cache: Optional[ResultCache] = None,
-        journal: Optional[jrnl.JournalWriter] = None,
-    ):
+    def __init__(self, *, cache: Optional[ResultCache] = None):
         self.cache = cache
-        self.journal = journal
 
     def map(self, items: Iterable[WorkItem]) -> Iterator[WorkResult]:
         for item in items:
-            yield execute_work_item(item, journal=self.journal, cache=self.cache)
+            yield execute_work_item(item, cache=self.cache)
 
 
 class ProcessPoolTransport(WorkerTransport):

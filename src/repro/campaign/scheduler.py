@@ -56,10 +56,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
+from .. import ambient
 from .. import journal as jrnl
 from .. import telemetry as tele
 from .. import timeline as tline
@@ -292,14 +294,12 @@ class ShardedCampaignScheduler:
     def _num_shards(self) -> int:
         return self.shards if self.shards else max(1, self.workers)
 
-    def _make_transport(
-        self, pending: int, writer: Optional[jrnl.JournalWriter]
-    ) -> WorkerTransport:
+    def _make_transport(self, pending: int) -> WorkerTransport:
         if self.transport is not None:
             return self.transport
         if self.workers > 1 and pending > 1:
             return ProcessPoolTransport(min(self.workers, pending))
-        return InlineTransport(cache=self.cache, journal=writer)
+        return InlineTransport(cache=self.cache)
 
     # ------------------------------------------------------------------
     def run(
@@ -349,160 +349,153 @@ class ShardedCampaignScheduler:
                 run_id=prior.run_id if prior is not None else None,
             )
             num_shards = self._num_shards()
-            # Ambient emission is what lets deeply nested code (the fault
-            # injector) journal on the inline path; pool workers attach
-            # their own per-process handle instead.
-            attached_ambient = False
-            if writer is not None and jrnl.ambient() is None:
-                jrnl.attach(writer)
-                attached_ambient = True
-
             t_start = time.perf_counter()
             invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
             stolen = 0
             recovered = 0
             workers_used = 1
             transport_name = "inline"
-            try:
-                if writer is not None and prior is None:
-                    writer.emit(
-                        "run.start",
-                        label=label,
-                        jobs=len(jobs),
-                        workers=self.workers,
-                        retries_allowed=self.retries,
-                        keep_going=self.keep_going,
-                        cache_enabled=self.cache is not None,
-                        shards=num_shards,
-                    )
-                if writer is not None:
-                    for index, (job, key) in enumerate(zip(jobs, keys)):
+            # Inline attempt and fault events go through the ambient binding
+            # (pool workers bind their own handle); a journal-less run
+            # leaves whatever the caller bound in place.
+            with ambient.bound(journal=writer) if writer is not None else nullcontext():
+                try:
+                    if writer is not None and prior is None:
                         writer.emit(
-                            "job.scheduled", job=job.job_id, key=key, index=index
+                            "run.start",
+                            label=label,
+                            jobs=len(jobs),
+                            workers=self.workers,
+                            retries_allowed=self.retries,
+                            keep_going=self.keep_going,
+                            cache_enabled=self.cache is not None,
+                            shards=num_shards,
+                        )
+                    if writer is not None:
+                        for index, (job, key) in enumerate(zip(jobs, keys)):
+                            writer.emit(
+                                "job.scheduled", job=job.job_id, key=key, index=index
+                            )
+
+                    payloads: Dict[int, Dict] = {}
+                    statuses: Dict[int, str] = {}
+                    walls: Dict[int, float] = {}
+                    errors: Dict[int, Dict] = {}
+                    attempts: Dict[int, int] = {}
+
+                    pending: List[int] = []
+                    for index, key in enumerate(keys):
+                        job_id = jobs[index].job_id
+                        with tele.span(
+                            "job.cache_probe", job=job_id, skipped=self.cache is None
+                        ):
+                            if self.cache is not None:
+                                t0 = time.perf_counter()
+                                cached = self.cache.get(key)
+                                if cached is not None:
+                                    payloads[index] = cached
+                                    statuses[index] = "hit"
+                                    walls[index] = time.perf_counter() - t0
+                                    attempts[index] = 0
+                                    if job_id in prior_terminal:
+                                        recovered += 1
+                                    if writer is not None:
+                                        writer.emit(
+                                            "job.cache_hit",
+                                            job=job_id,
+                                            key=key,
+                                            attempt=0,
+                                        )
+                                    continue
+                        pending.append(index)
+
+                    if writer is not None and prior is not None:
+                        writer.emit(
+                            "run.resumed",
+                            jobs_recovered=recovered,
+                            jobs_pending=len(pending),
+                            shards=num_shards,
                         )
 
-                payloads: Dict[int, Dict] = {}
-                statuses: Dict[int, str] = {}
-                walls: Dict[int, float] = {}
-                errors: Dict[int, Dict] = {}
-                attempts: Dict[int, int] = {}
+                    plan = plan_shards([keys[i] for i in pending], num_shards)
+                    if writer is not None:
+                        for shard, members in enumerate(plan.assignments):
+                            writer.emit("shard.planned", shard=shard, jobs=len(members))
 
-                pending: List[int] = []
-                for index, key in enumerate(keys):
-                    job_id = jobs[index].job_id
-                    with tele.span(
-                        "job.cache_probe", job=job_id, skipped=self.cache is None
-                    ):
-                        if self.cache is not None:
-                            t0 = time.perf_counter()
-                            cached = self.cache.get(key)
-                            if cached is not None:
-                                payloads[index] = cached
-                                statuses[index] = "hit"
-                                walls[index] = time.perf_counter() - t0
+                    if pending:
+                        items = self._work_items(jobs, keys, pending, plan, writer)
+                        results, stolen, workers_used, transport_name = self._dispatch(
+                            items, writer
+                        )
+                        for result in results.values():
+                            index = result.index
+                            walls[index] = result.wall_s
+                            attempts[index] = result.attempts
+                            statuses[index] = result.cache_status
+                            if result.error is not None:
+                                errors[index] = result.error
+                            else:
+                                payloads[index] = result.payload
+                            if result.cache_status == "uncached":
+                                # Traced parent-side so that pool workers ship
+                                # back only their job.execute roots.
+                                with tele.span(
+                                    "job.store", job=jobs[index].job_id, skipped=True
+                                ):
+                                    pass
+                            if result.cache_stats and self.cache is not None:
+                                # Worker-side cache objects saw the traffic;
+                                # fold their deltas into the parent's books.
+                                self.cache.stats.hits += result.cache_stats["hits"]
+                                self.cache.stats.misses += result.cache_stats["misses"]
+                                self.cache.stats.invalidations += result.cache_stats[
+                                    "invalidations"
+                                ]
+                                self.cache.stats.puts += result.cache_stats["puts"]
+
+                    failed = [i for i in pending if i in errors]
+                    # Jobs the fail-fast stop never dispatched: no payload, no
+                    # error, zero attempts.
+                    for index in pending:
+                        if index not in statuses:
+                            statuses[index] = "failed" if index in errors else "uncached"
+                            if index not in attempts:
                                 attempts[index] = 0
-                                if job_id in prior_terminal:
-                                    recovered += 1
-                                if writer is not None:
-                                    writer.emit(
-                                        "job.cache_hit",
-                                        job=job_id,
-                                        key=key,
-                                        attempt=0,
-                                    )
-                                continue
-                    pending.append(index)
+                            if index not in walls:
+                                walls[index] = 0.0
+                    if failed and not self.keep_going:
+                        failures = [
+                            {"job_id": jobs[i].job_id, "error": errors[i]} for i in failed
+                        ]
+                        first = failures[0]
+                        raise CampaignExecutionError(
+                            f"{len(failed)} of {len(jobs)} campaign job(s) failed "
+                            f"(first: {first['job_id']} — {first['error']['type']}: "
+                            f"{first['error']['message']}); rerun with keep_going=True "
+                            "to collect the surviving jobs",
+                            failures=failures,
+                        )
 
-                if writer is not None and prior is not None:
-                    writer.emit(
-                        "run.resumed",
-                        jobs_recovered=recovered,
-                        jobs_pending=len(pending),
-                        shards=num_shards,
-                    )
-
-                plan = plan_shards([keys[i] for i in pending], num_shards)
-                if writer is not None:
-                    for shard, members in enumerate(plan.assignments):
-                        writer.emit("shard.planned", shard=shard, jobs=len(members))
-
-                if pending:
-                    items = self._work_items(jobs, keys, pending, plan, writer)
-                    results, stolen, workers_used, transport_name = self._dispatch(
-                        items, writer
-                    )
-                    for result in results.values():
-                        index = result.index
-                        walls[index] = result.wall_s
-                        attempts[index] = result.attempts
-                        statuses[index] = result.cache_status
-                        if result.error is not None:
-                            errors[index] = result.error
-                        else:
-                            payloads[index] = result.payload
-                        if result.cache_status == "uncached":
-                            # Traced parent-side so that pool workers ship
-                            # back only their job.execute roots.
-                            with tele.span(
-                                "job.store", job=jobs[index].job_id, skipped=True
-                            ):
-                                pass
-                        if result.cache_stats and self.cache is not None:
-                            # Worker-side cache objects saw the traffic;
-                            # fold their deltas into the parent's books.
-                            self.cache.stats.hits += result.cache_stats["hits"]
-                            self.cache.stats.misses += result.cache_stats["misses"]
-                            self.cache.stats.invalidations += result.cache_stats[
-                                "invalidations"
-                            ]
-                            self.cache.stats.puts += result.cache_stats["puts"]
-
-                failed = [i for i in pending if i in errors]
-                # Jobs the fail-fast stop never dispatched: no payload, no
-                # error, zero attempts.
-                for index in pending:
-                    if index not in statuses:
-                        statuses[index] = "failed" if index in errors else "uncached"
-                        if index not in attempts:
-                            attempts[index] = 0
-                        if index not in walls:
-                            walls[index] = 0.0
-                if failed and not self.keep_going:
-                    failures = [
-                        {"job_id": jobs[i].job_id, "error": errors[i]} for i in failed
-                    ]
-                    first = failures[0]
-                    raise CampaignExecutionError(
-                        f"{len(failed)} of {len(jobs)} campaign job(s) failed "
-                        f"(first: {first['job_id']} — {first['error']['type']}: "
-                        f"{first['error']['message']}); rerun with keep_going=True "
-                        "to collect the surviving jobs",
-                        failures=failures,
-                    )
-
-                if tele.active():
-                    for index in range(len(jobs)):
-                        tele.count("tgi_campaign_jobs_total", status=statuses[index])
-                    retries_total = sum(
-                        max(0, attempts.get(i, 1) - 1) for i in pending
-                    )
-                    if failed:
-                        tele.count("tgi_campaign_jobs_failed_total", len(failed))
-                    if retries_total:
-                        tele.count("tgi_campaign_jobs_retried_total", retries_total)
-                    if stolen:
-                        tele.count("tgi_campaign_jobs_stolen_total", stolen)
-            except CampaignExecutionError as exc:
-                if writer is not None and owns_writer:
-                    writer.finalize(
-                        status="aborted",
-                        jobs_failed=len(exc.failures),
-                        total_wall_s=time.perf_counter() - t_start,
-                    )
-                raise
-            finally:
-                if attached_ambient:
-                    jrnl.detach()
+                    if tele.active():
+                        for index in range(len(jobs)):
+                            tele.count("tgi_campaign_jobs_total", status=statuses[index])
+                        retries_total = sum(
+                            max(0, attempts.get(i, 1) - 1) for i in pending
+                        )
+                        if failed:
+                            tele.count("tgi_campaign_jobs_failed_total", len(failed))
+                        if retries_total:
+                            tele.count("tgi_campaign_jobs_retried_total", retries_total)
+                        if stolen:
+                            tele.count("tgi_campaign_jobs_stolen_total", stolen)
+                except CampaignExecutionError as exc:
+                    if writer is not None and owns_writer:
+                        writer.finalize(
+                            status="aborted",
+                            jobs_failed=len(exc.failures),
+                            total_wall_s=time.perf_counter() - t_start,
+                        )
+                    raise
 
         total_wall = time.perf_counter() - t_start
         outcomes = [
@@ -621,7 +614,7 @@ class ShardedCampaignScheduler:
         identical, re-executing only what never came back.
         """
         session = tele.current()
-        transport = self._make_transport(len(items), writer)
+        transport = self._make_transport(len(items))
         workers_used = min(transport.slots, len(items))
         transport_name = transport.name
         results: Dict[int, WorkResult] = {}
@@ -683,6 +676,6 @@ class ShardedCampaignScheduler:
                         "tgi_campaign_pool_fallback_total",
                         resumed_jobs=len(leftovers),
                     )
-                inline = InlineTransport(cache=self.cache, journal=writer)
+                inline = InlineTransport(cache=self.cache)
                 collect(inline.map(leftovers))
         return results, stolen, workers_used, transport_name

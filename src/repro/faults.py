@@ -41,9 +41,10 @@ campaign layer holds under injection too.
 Every injection increments the ``tgi_faults_injected_total`` counter
 (labelled by ``kind``) when a telemetry session is active; pool workers
 ship the counts back with their payloads like every other metric.  When a
-run journal is attached (:mod:`repro.journal`) each injection also lands
-as a typed ``fault.injected`` event, so post-mortems can line faults up
-against the retries they caused.
+journal writer is bound (the ``journal`` slot of :mod:`repro.ambient`;
+a campaign with a journal binds its own for the run) each injection also
+lands as a typed ``fault.injected`` event in that journal, so post-mortems
+can line faults up against the retries they caused.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from . import journal as jrnl
+from . import ambient
 from . import telemetry as tele
 from .exceptions import FaultInjectionError, InjectedFault, NodeCrashFault, TransientFault
 from .power.meter import MeterSpec
@@ -225,7 +226,10 @@ class FaultInjector:
         ``fault.injected`` journal event (each a no-op when inactive)."""
         if tele.active():
             tele.count("tgi_faults_injected_total", kind=kind)
-        jrnl.emit("fault.injected", kind=kind, scope=self.scope, attempt=self.attempt)
+        if ambient.journal is not None:
+            ambient.journal.emit(
+                "fault.injected", kind=kind, scope=self.scope, attempt=self.attempt
+            )
 
     def __repr__(self) -> str:
         return (

@@ -10,9 +10,11 @@ events, live, while the run is still in flight; a crash can tear at most
 the final line, which the reader drops (see :mod:`repro.journal.reader`).
 
 The ambient API mirrors :mod:`repro.telemetry`: deeply nested code (the
-fault injector, the simulation substrate) calls the module-level
-:func:`emit`, which no-ops unless a writer has been :func:`attach`\\ ed.
-The disabled path is one global ``None`` check.
+campaign's attempt loop, the fault injector) calls the module-level
+:func:`emit`, which no-ops unless a writer is bound in the ``journal``
+slot of :mod:`repro.ambient` (:func:`attach`, :func:`use_writer`, or the
+campaign scheduler for its own run).  The disabled path is one ``None``
+check.
 
 Finalization writes the terminal ``run.stop`` event, closes the
 descriptor, and persists a small sidecar summary
@@ -34,6 +36,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
+from .. import ambient as _ambient
 from ..exceptions import JournalError
 from .events import JOURNAL_VERSION, check_event
 
@@ -306,39 +309,38 @@ def open_journal(
     return JournalWriter(Path(target), label=label, run_id=run_id), True
 
 
-# Ambient writer --------------------------------------------------------
-
-_AMBIENT: Optional[JournalWriter] = None
-
+# Ambient writer (the ``journal`` slot of :mod:`repro.ambient`) --------
 
 def ambient() -> Optional[JournalWriter]:
     """The ambient journal writer, or ``None`` when journaling is off."""
-    return _AMBIENT
+    return _ambient.journal
 
 
 def journaling() -> bool:
     """Whether an ambient journal writer is attached."""
-    return _AMBIENT is not None
+    return _ambient.journal is not None
+
+
+def _ensure_detached() -> None:
+    if _ambient.journal is not None:
+        raise JournalError("a journal writer is already attached")
 
 
 def attach(writer: JournalWriter) -> JournalWriter:
     """Install ``writer`` as the ambient journal (one at a time)."""
-    global _AMBIENT
-    if _AMBIENT is not None:
-        raise JournalError("a journal writer is already attached")
-    _AMBIENT = writer
+    _ensure_detached()
+    _ambient.journal = writer
     return writer
 
 
 def detach() -> None:
     """Remove the ambient writer (no-op when none is attached)."""
-    global _AMBIENT
-    _AMBIENT = None
+    _ambient.journal = None
 
 
 def emit(event: str, **fields: object) -> Optional[Dict]:
     """Emit through the ambient writer; no-op (``None``) when detached."""
-    writer = _AMBIENT
+    writer = _ambient.journal
     if writer is None:
         return None
     return writer.emit(event, **fields)
@@ -347,8 +349,6 @@ def emit(event: str, **fields: object) -> Optional[Dict]:
 @contextmanager
 def use_writer(writer: JournalWriter) -> Iterator[JournalWriter]:
     """Attach ``writer`` for the duration of the block (does not close it)."""
-    attach(writer)
-    try:
+    _ensure_detached()
+    with _ambient.bound(journal=writer):
         yield writer
-    finally:
-        detach()

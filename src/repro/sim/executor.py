@@ -47,12 +47,12 @@ energy, attribution, and the power curve itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import ambient
 from .. import telemetry as tele
-from .. import timeline as tline
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import SimulationError
 from ..faults import FaultInjector
@@ -64,6 +64,9 @@ from ..rng import RandomState
 from .engine import IntervalArrays, RankInterval, SimulationEngine
 from .placement import Placement
 from .workload import RankProgram
+
+if TYPE_CHECKING:  # pragma: no cover - the timeline package loads only when armed
+    from ..timeline.capture import TimelineCapture
 
 #: Either the columnar fast-path form or the per-rank object view — every
 #: integration entry point accepts both.
@@ -273,9 +276,14 @@ class ClusterExecutor:
             self.faults.maybe_crash(
                 label=label, makespan=makespan, num_nodes=self.cluster.num_nodes
             )
-        # Disarmed timeline capture is this one None-backed check — the
-        # same single-global contract as journal emits and telemetry spans.
-        capture = tline.TimelineCapture() if tline.capturing() else None
+        # Disarmed timeline capture is this one None check on the ambient
+        # sink — the same contract as journal emits and telemetry spans.
+        sink = ambient.sink
+        capture = None
+        if sink is not None:
+            from ..timeline.capture import TimelineCapture
+
+            capture = TimelineCapture()
         with tele.span("sim.power.integrate", label=label) as integrate_span:
             truth, breakdown, stats = self.integrate_power(
                 placement, intervals, makespan, capture=capture
@@ -284,8 +292,10 @@ class ClusterExecutor:
         with tele.span("sim.power.meter", label=label):
             trace = self.meter.measure(truth)
         if capture is not None:
+            from ..timeline.model import build_run_timeline
+
             with tele.span("sim.timeline.capture", label=label) as capture_span:
-                run_timeline = tline.build_run_timeline(
+                run_timeline = build_run_timeline(
                     capture,
                     truth=truth,
                     trace=trace,
@@ -303,7 +313,7 @@ class ClusterExecutor:
                         NodeUtilization.idle()
                     ),
                 )
-                tline.record(run_timeline)
+                sink.add(run_timeline)
                 capture_span.set(
                     segments=run_timeline.segments,
                     slices=int(run_timeline.slice_wall_w.size),
@@ -328,7 +338,7 @@ class ClusterExecutor:
         intervals: Intervals,
         makespan: float,
         *,
-        capture: Optional[tline.TimelineCapture] = None,
+        capture: Optional[TimelineCapture] = None,
     ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
         """Fold rank intervals into the cluster wall-power curve.
 
@@ -382,7 +392,7 @@ class ClusterExecutor:
         placement: Placement,
         intervals: Intervals,
         makespan: float,
-        capture: Optional[tline.TimelineCapture] = None,
+        capture: Optional[TimelineCapture] = None,
     ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
         """Sweep-line integration over flat per-node regions.
 
@@ -572,7 +582,7 @@ class ClusterExecutor:
         placement: Placement,
         intervals: Intervals,
         makespan: float,
-        capture: Optional[tline.TimelineCapture] = None,
+        capture: Optional[TimelineCapture] = None,
     ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
         """The original midpoint-scan integration, kept as the oracle."""
         if isinstance(intervals, IntervalArrays):
@@ -636,7 +646,7 @@ class ClusterExecutor:
         intervals: List[List[RankInterval]],
         makespan: float,
         breakdown: Dict[str, float],
-        capture: Optional[tline.TimelineCapture] = None,
+        capture: Optional[TimelineCapture] = None,
         node_row: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(slice starts, wall watts per slice) for one node over [0, makespan].

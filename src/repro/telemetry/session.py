@@ -13,10 +13,12 @@ module-level helpers —
 ...     pass
 >>> tele.count("tgi_cache_lookups_total", result="hit")
 
-— which consult the *ambient* session.  When none is active (the default)
-every helper short-circuits on one global ``None`` check and returns a
-shared no-op handle: telemetry costs nothing unless a session is activated
-via :func:`use` (or :func:`activate`/:func:`deactivate`).
+— which consult the *ambient* session: the ``session`` slot of
+:mod:`repro.ambient`, the one store that also holds the ambient journal
+writer and timeline sink.  When none is active (the default) every helper
+short-circuits on one ``None`` check and returns a shared no-op handle:
+telemetry costs nothing unless a session is activated via :func:`use` (or
+:func:`activate`/:func:`deactivate`).
 
 Sessions are process-local.  Campaign pool workers build their own session,
 run the job inside it, and ship ``tracer.as_dicts()`` + ``metrics.state()``
@@ -30,6 +32,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from .. import ambient as _ambient
 from ..exceptions import ReproError
 from .metrics import DEFAULT_TIME_BUCKETS_S, MetricsRegistry
 from .spans import _NULL_HANDLE, Span, Tracer
@@ -131,52 +134,49 @@ class TelemetrySession:
         return self.metrics.to_prometheus()
 
 
-# Ambient session ------------------------------------------------------
-
-_ACTIVE: Optional[TelemetrySession] = None
-
+# Ambient session (the ``session`` slot of :mod:`repro.ambient`) ------
 
 def current() -> Optional[TelemetrySession]:
     """The ambient session, or ``None`` when telemetry is disabled."""
-    return _ACTIVE
+    return _ambient.session
 
 
 def active() -> bool:
     """Whether a telemetry session is currently collecting."""
-    return _ACTIVE is not None
+    return _ambient.session is not None
+
+
+def _ensure_inactive() -> None:
+    if _ambient.session is not None:
+        raise ReproError("a telemetry session is already active")
 
 
 def activate(session: TelemetrySession) -> TelemetrySession:
     """Install ``session`` as the ambient collector (one at a time)."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ReproError("a telemetry session is already active")
-    _ACTIVE = session
+    _ensure_inactive()
+    _ambient.session = session
     return session
 
 
 def deactivate() -> None:
     """Remove the ambient session (no-op when none is active)."""
-    global _ACTIVE
-    _ACTIVE = None
+    _ambient.session = None
 
 
 @contextmanager
 def use(session: Optional[TelemetrySession] = None) -> Iterator[TelemetrySession]:
     """Collect telemetry for the duration of the ``with`` block."""
     session = session or TelemetrySession()
-    activate(session)
-    try:
+    _ensure_inactive()
+    with _ambient.bound(session=session):
         yield session
-    finally:
-        deactivate()
 
 
 # Instrumentation helpers (the zero-cost-when-disabled hot path) -------
 
 def span(name: str, **attrs: object):
     """Open a span on the ambient tracer (shared no-op when disabled)."""
-    session = _ACTIVE
+    session = _ambient.session
     if session is None:
         return _NULL_HANDLE
     return session.tracer.span(name, **attrs)
@@ -184,21 +184,21 @@ def span(name: str, **attrs: object):
 
 def count(name: str, amount: float = 1.0, **labels: object) -> None:
     """Increment an ambient counter (no-op when disabled)."""
-    session = _ACTIVE
+    session = _ambient.session
     if session is not None:
         session.metrics.counter(name).inc(amount, **labels)
 
 
 def gauge(name: str, value: float, **labels: object) -> None:
     """Set an ambient gauge (no-op when disabled)."""
-    session = _ACTIVE
+    session = _ambient.session
     if session is not None:
         session.metrics.gauge(name).set(value, **labels)
 
 
 def observe(name: str, value: float, **labels: object) -> None:
     """Observe into an ambient histogram (no-op when disabled)."""
-    session = _ACTIVE
+    session = _ambient.session
     if session is not None:
         session.metrics.histogram(name).observe(value, **labels)
 

@@ -4,9 +4,9 @@ The executor's hot path never builds a timeline unless someone is
 listening.  The contract is the same one :mod:`repro.journal` uses for
 events and :mod:`repro.telemetry` uses for spans:
 
-* **Disarmed** (the default): :func:`capturing` is a single read of a
-  module-level global against ``None`` — the executor skips every capture
-  branch.  Nothing is allocated, nothing is copied.
+* **Disarmed** (the default): :func:`capturing` is a single read of the
+  ``sink`` slot of :mod:`repro.ambient` against ``None`` — the executor
+  skips every capture branch.  Nothing is allocated, nothing is copied.
 * **Armed** (a sink attached via :func:`attach_sink` or the
   :func:`collecting` context manager): the integrators stash *references*
   to the columnar arrays they already computed into a
@@ -15,9 +15,10 @@ events and :mod:`repro.telemetry` uses for spans:
   the sink.  All derived analysis (component grids, audits, binning) is
   lazy — it runs when an artifact or dashboard asks, not on the sim path.
 
-Pool safety follows the journal: the sink is per-process state; campaign
-workers arm their own sink around each job and ship artifacts via files,
-never through the global.
+Pool safety follows the journal: the sink is per-process state.  Campaign
+pool workers start each job with no sink bound, arm their own sink around
+the job when the campaign asks for timeline artifacts, and ship those
+artifacts via files, never through the binding.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .. import ambient as _ambient
 from ..exceptions import TimelineError
 
 __all__ = [
@@ -130,41 +132,41 @@ class MemorySink:
         self.timelines.append(timeline)
 
 
-#: The ambient sink.  ``None`` means capture is disarmed — the executor's
-#: fast path is exactly one read of this global.
-_SINK: Optional[MemorySink] = None
+# The ambient sink is the ``sink`` slot of :mod:`repro.ambient`.  ``None``
+# means capture is disarmed — the executor's fast path is one read of it.
 
-
-def attach_sink(sink: MemorySink) -> None:
-    """Arm timeline capture for this process."""
-    global _SINK
-    if _SINK is not None:
+def _ensure_disarmed() -> None:
+    if _ambient.sink is not None:
         raise TimelineError(
             "a timeline sink is already attached; detach it first "
             "(nested collecting() blocks are not supported)"
         )
-    _SINK = sink
+
+
+def attach_sink(sink: MemorySink) -> None:
+    """Arm timeline capture for this process."""
+    _ensure_disarmed()
+    _ambient.sink = sink
 
 
 def detach_sink() -> None:
     """Disarm timeline capture (no-op when already disarmed)."""
-    global _SINK
-    _SINK = None
+    _ambient.sink = None
 
 
 def ambient_sink() -> Optional[MemorySink]:
     """The currently attached sink, or ``None``."""
-    return _SINK
+    return _ambient.sink
 
 
 def capturing() -> bool:
     """Whether a sink is armed (the executor's single disarmed check)."""
-    return _SINK is not None
+    return _ambient.sink is not None
 
 
 def record(timeline: object) -> None:
     """Hand a finished run timeline to the ambient sink, if any."""
-    sink = _SINK
+    sink = _ambient.sink
     if sink is None:
         return
     sink.add(timeline)
@@ -179,8 +181,6 @@ def collecting() -> Iterator[List[object]]:
     >>> timelines[0].energy_j  # doctest: +SKIP
     """
     sink = MemorySink()
-    attach_sink(sink)
-    try:
+    _ensure_disarmed()
+    with _ambient.bound(sink=sink):
         yield sink.timelines
-    finally:
-        detach_sink()
